@@ -97,30 +97,32 @@ def char0_distance(src: Weight, tgt: Weight, budget: int) -> int | None:
     def h(w: Weight) -> int:
         return max(0, f_tgt - f_value(w))
 
-    def search(w: Weight, depth: int, threshold: int, best_seen: dict[Weight, int]):
-        """Returns (distance, None) when found, else (None, smallest pruned
-        estimate) for the next threshold."""
-        est = depth + h(w)
-        if est > threshold:
-            return None, est
-        if w == tgt:
-            return depth, None
-        prev = best_seen.get(w)
-        if prev is not None and prev <= depth:
-            return None, _INF
-        best_seen[w] = depth
+    def search(threshold: int):
+        """One depth-first pass bounded by ``threshold``, visiting
+        neighbours in sorted order from an explicit stack (so depth is not
+        limited by recursion).  Returns (distance, None) when found, else
+        (None, smallest pruned estimate) for the next threshold."""
+        best_seen: dict[Weight, int] = {}
         next_threshold = _INF
-        for _, nb in sorted(lr_neighbors(w)):
-            found, nxt = search(nb, depth + 1, threshold, best_seen)
-            if found is not None:
-                return found, None
-            if nxt < next_threshold:
-                next_threshold = nxt
+        stack = [(src, 0)]
+        while stack:
+            w, depth = stack.pop()
+            est = depth + h(w)
+            if est > threshold:
+                next_threshold = min(next_threshold, est)
+                continue
+            if w == tgt:
+                return depth, None
+            if best_seen.get(w, _INF) <= depth:
+                continue
+            best_seen[w] = depth
+            # Reversed, so the smallest neighbour is popped, and explored, first.
+            stack += [(nb, depth + 1) for _, nb in sorted(lr_neighbors(w), reverse=True)]
         return None, next_threshold
 
     threshold = h(src)
     while threshold <= budget:
-        found, nxt = search(src, 0, threshold, {})
+        found, nxt = search(threshold)
         if found is not None:
             return found
         if nxt > budget:

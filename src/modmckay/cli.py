@@ -3,13 +3,15 @@
 One subcommand per operation; all take weights as comma-separated entry
 lists (``--weight 1,0,0,0``), with ``--n`` inferred from the length when
 omitted.  ``--format`` selects text, json or dot where applicable.  Exit
-codes: 0 success, 1 verification failure (``verify``, ``validate``),
-2 malformed input.
+codes: 0 success; 1 verification failure (``verify``, ``validate``) or a
+planner invariant violation, reported as ``error:`` on stderr; 2 malformed
+input, or an ``--output`` file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -25,7 +27,7 @@ from .graph import (
     subgraph_diameter,
 )
 from .moves import NoSuchEdgeError, certified_moves, certify_via_conormal, validate_move
-from .planner import length_bound, plan_path
+from .planner import InvariantViolationError, length_bound, plan_path
 from .weights import (
     Weight,
     f_value,
@@ -239,7 +241,7 @@ def _cmd_bfs(args) -> tuple[str, int]:
     p = _check_p(args)
     g = build_certified_graph(args.n, p, args.budget)
     if args.format == "csv":
-        return distance_matrix_csv(g, parallel=args.parallel), 0
+        return distance_matrix_csv(g), 0
     if args.src is None:
         raise ValueError("bfs needs --from (or --format csv for the full matrix)")
     src = _weight_arg(args.src, args)
@@ -267,7 +269,7 @@ def _cmd_bfs(args) -> tuple[str, int]:
 def _cmd_diameter(args) -> tuple[str, int]:
     p = _check_p(args)
     g = build_certified_graph(args.n, p, args.budget)
-    diam, witness = subgraph_diameter(g, parallel=args.parallel)
+    diam, witness = subgraph_diameter(g)
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -282,7 +284,7 @@ def _cmd_diameter(args) -> tuple[str, int]:
 
 def _cmd_verify(args) -> tuple[str, int]:
     p = _check_p(args)
-    lines, ok = run_verification(args.n, p, args.budget, args.parallel)
+    lines, ok = run_verification(args.n, p, args.budget)
     code = 0 if ok else 1
     if args.format == "json":
         payload = {
@@ -300,9 +302,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     return text, code
 
 
-def run_verification(
-    n: int, p: int, budget: int, parallel: bool = False
-) -> tuple[list[tuple[str, bool]], bool]:
+def run_verification(n: int, p: int, budget: int) -> tuple[list[tuple[str, bool]], bool]:
     """The acceptance checks for a single (n, p), as (name, ok) pairs.
 
     The verification scope is the certified subgraph: its edges are a
@@ -331,7 +331,7 @@ def run_verification(
         )
     )
 
-    rows = graph_mod.all_pairs_distances(g, parallel=parallel)
+    rows = graph_mod.all_pairs_distances(g)
     connected = all(all(d is not None for d in row) for row in rows)
     checks.append(("strongly connected", connected))
     diam = max(d for row in rows for d in row if d is not None)
@@ -401,6 +401,7 @@ def run_verification(
 # ----------------------------------------------------------------- parser
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modmckay",
@@ -410,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, helptext, *, n=False, p=False, weight=False, fromto=False,
-            formats=("text",), budget=None, parallel=False):
+            formats=("text",), budget=None):
         sp = sub.add_parser(name, help=helptext)
         if n:
             sp.add_argument("--n", type=int, help="rank parameter (inferred "
@@ -437,9 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=int,
                             default=graph_mod.DEFAULT_VERTEX_BUDGET,
                             help="maximum number of vertices to enumerate")
-        if parallel:
-            sp.add_argument("--parallel", action="store_true",
-                            help="run per-source BFS in a thread pool")
         sp.add_argument("--output", help="write output to this file")
         return sp
 
@@ -464,11 +462,11 @@ def _build_parser() -> argparse.ArgumentParser:
         formats=("text", "json", "dot"), budget="vertices")
     add("bfs", "BFS distances from a source (or the full CSV matrix)",
         n=True, p=True, fromto=True, formats=("text", "json", "csv"),
-        budget="vertices", parallel=True)
+        budget="vertices")
     add("diameter", "diameter of the certified subgraph", n=True, p=True,
-        formats=("text", "json"), budget="vertices", parallel=True)
+        formats=("text", "json"), budget="vertices")
     add("verify", "run the acceptance checks for (n, p)", n=True, p=True,
-        formats=("text", "json"), budget="vertices", parallel=True)
+        formats=("text", "json"), budget="vertices")
     return parser
 
 
@@ -503,12 +501,16 @@ def main(argv=None) -> int:
             if args.n < 2:
                 raise ValueError(f"need n >= 2, got {args.n}")
         out, code = _HANDLERS[args.command](args)
-    except (ValueError, BudgetExceededError) as exc:
+    except (ValueError, BudgetExceededError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InvariantViolationError) else 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return code

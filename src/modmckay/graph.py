@@ -3,8 +3,7 @@ BFS distances, diameter, and DOT/JSON/CSV export.
 
 Vertices are listed in lexicographic order, so indices are deterministic.
 Out-degrees are 1 (zero weight) or 2, and every edge obeys the potential
-law f(head) <= f(tail) + 1.  The graph is immutable after construction;
-per-source BFS runs may share it freely.
+law f(head) <= f(tail) + 1.  The graph is immutable after construction.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import io
 import json
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -97,28 +95,20 @@ def bfs_distances(g: CertifiedGraph, source: Weight) -> list[int | None]:
     return dist
 
 
-def all_pairs_distances(
-    g: CertifiedGraph, parallel: bool = False
-) -> list[list[int | None]]:
+def all_pairs_distances(g: CertifiedGraph) -> list[list[int | None]]:
     """Per-source BFS over all vertices; row i is bfs_distances from
-    vertex i.  The parallel path uses threads over sources and assembles
-    rows by index, so output is identical either way."""
-    if not parallel:
-        return [bfs_distances(g, w) for w in g.vertices]
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(lambda w: bfs_distances(g, w), g.vertices))
+    vertex i."""
+    return [bfs_distances(g, w) for w in g.vertices]
 
 
-def subgraph_diameter(
-    g: CertifiedGraph, parallel: bool = False
-) -> tuple[int, tuple[Weight, Weight]]:
+def subgraph_diameter(g: CertifiedGraph) -> tuple[int, tuple[Weight, Weight]]:
     """Maximum finite distance over all ordered pairs, with the first
     attaining pair in (source index, target index) order.  Unreachable
     pairs would make the diameter infinite; that is reported as an error
     rather than skipped."""
     best = -1
     witness: tuple[Weight, Weight] | None = None
-    for i, row in enumerate(all_pairs_distances(g, parallel=parallel)):
+    for i, row in enumerate(all_pairs_distances(g)):
         for j, d in enumerate(row):
             if d is None:
                 raise BudgetExceededError(
@@ -209,13 +199,13 @@ def graph_from_json(text: str) -> CertifiedGraph:
     )
 
 
-def distance_matrix_csv(g: CertifiedGraph, parallel: bool = False) -> str:
+def distance_matrix_csv(g: CertifiedGraph) -> str:
     """All-pairs distance matrix as CSV; header row holds weight labels,
     each following row is one source."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     labels = [format_weight(w) for w in g.vertices]
     writer.writerow(["source"] + labels)
-    for w, row in zip(g.vertices, all_pairs_distances(g, parallel=parallel)):
+    for w, row in zip(g.vertices, all_pairs_distances(g)):
         writer.writerow([format_weight(w)] + ["" if d is None else d for d in row])
     return buf.getvalue()

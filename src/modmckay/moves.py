@@ -30,6 +30,7 @@ from .weights import (
     is_p_restricted,
     p_adic_decompose,
     partition_to_weight,
+    require_restricted,
     weight_to_partition,
 )
 
@@ -93,76 +94,81 @@ def _rep(x: int, p: int) -> int:
     return r if r else p - 1
 
 
-def _require_restricted(w: Weight, p: int) -> Weight:
-    check_weight(w)
-    if not is_p_restricted(w, p):
-        raise ValueError(f"weight is not {p}-restricted: {w}")
-    return w
+_ADD_FIRST_MOVE = Move(ADD_FIRST)
+_CLEAR_LAST_MOVE = Move(CLEAR_LAST)
+
+
+def _successors(w: Weight, p: int) -> list[tuple[Move, Weight]]:
+    """The 1 or 2 certified edges out of ``w``, add_first first.  This is
+    the one statement of the move rules; it trusts ``w`` to be
+    p-restricted, so every caller validates its input beforehand."""
+    out = [(_ADD_FIRST_MOVE, (_rep(w[0] + 1, p),) + w[1:])]
+    s = first_nonzero_position(w)
+    if s is None:
+        return out
+    if s == len(w):
+        out.append((_CLEAR_LAST_MOVE, w[:-1] + (w[-1] - 1,)))
+    else:
+        cleared = list(w)
+        cleared[s - 1] -= 1
+        cleared[s] = _rep(cleared[s] + 1, p)
+        out.append((Move(CLEAR_FORWARD, s), tuple(cleared)))
+    return out
+
+
+def _step(w: Weight, move: Move, p: int) -> Weight:
+    """The head of the edge labelled ``move`` out of a p-restricted ``w``;
+    NotApplicableError when ``w`` has no such edge, which includes a
+    clear_forward whose stored position is stale."""
+    for label, target in _successors(w, p):
+        if label == move:
+            return target
+    raise NotApplicableError(f"{move} is not a certified edge out of {w}")
 
 
 def move_add_first(w: Weight, p: int) -> Weight:
     """Apply the add_first move."""
-    _require_restricted(w, p)
-    return (_rep(w[0] + 1, p),) + w[1:]
+    require_restricted(w, p)
+    return _step(w, _ADD_FIRST_MOVE, p)
 
 
 def move_clear_forward(w: Weight, p: int) -> Weight:
     """Apply the clear_forward move; requires the first nonzero entry to
     sit at some position s < n-1."""
-    _require_restricted(w, p)
-    s = first_nonzero_position(w)
-    if s is None:
-        raise NotApplicableError("clear_forward undefined at the zero weight")
-    if s >= len(w):
-        raise NotApplicableError(f"first nonzero entry at position {s} = n-1")
-    out = list(w)
-    out[s - 1] -= 1
-    out[s] = _rep(out[s] + 1, p)
-    return tuple(out)
+    require_restricted(w, p)
+    # Position n-1 stands in for the zero weight: neither has a clear_forward.
+    return _step(w, Move(CLEAR_FORWARD, first_nonzero_position(w) or len(w)), p)
 
 
 def move_clear_last(w: Weight) -> Weight:
     """Apply the clear_last move; requires all entries before n-1 to be 0
     and the last entry positive."""
     check_weight(w)
-    if any(w[:-1]) or w[-1] == 0:
-        raise NotApplicableError(f"first nonzero entry not at position n-1: {w}")
-    return w[:-1] + (w[-1] - 1,)
+    # clear_last does not depend on p; any p above every entry will do.
+    return _step(w, _CLEAR_LAST_MOVE, max(w) + 2)
 
 
 def apply_move(w: Weight, move: Move, p: int) -> Weight:
-    """Apply ``move`` at ``w``, checking the stored clear position."""
-    if move.kind == ADD_FIRST:
-        return move_add_first(w, p)
-    if move.kind == CLEAR_FORWARD:
-        if first_nonzero_position(w) != move.s:
-            raise NotApplicableError(
-                f"clear_forward stored s={move.s} but first nonzero of {w} differs"
-            )
-        return move_clear_forward(w, p)
-    return move_clear_last(w)
+    """Apply ``move`` at ``w``; a stale clear position raises
+    NotApplicableError."""
+    require_restricted(w, p)
+    return _step(w, move, p)
 
 
 def certified_moves(w: Weight, p: int) -> list[tuple[Move, Weight]]:
     """The 1 or 2 certified edges out of ``w``: add_first always, plus the
     single applicable clearing move when ``w`` is nonzero."""
-    _require_restricted(w, p)
-    out = [(Move(ADD_FIRST), move_add_first(w, p))]
-    s = first_nonzero_position(w)
-    if s is None:
-        return out
-    if s < len(w):
-        out.append((Move(CLEAR_FORWARD, s), move_clear_forward(w, p)))
-    else:
-        out.append((Move(CLEAR_LAST), move_clear_last(w)))
-    return out
+    require_restricted(w, p)
+    return _successors(w, p)
 
 
 def validate_move(lam: Weight, mu: Weight, p: int) -> Move:
     """The move realizing the certified edge lam -> mu, or
-    NoSuchEdgeError if there is none."""
-    _require_restricted(mu, p)
-    for move, target in certified_moves(lam, p):
+    NoSuchEdgeError if there is none.  Where two labels give the same
+    edge, the first in certified_moves order is returned."""
+    require_restricted(mu, p)
+    require_restricted(lam, p)
+    for move, target in _successors(lam, p):
         if target == mu:
             return move
     raise NoSuchEdgeError(f"no certified edge {lam} -> {mu} for p={p}")
@@ -186,8 +192,8 @@ def certify_via_conormal(lam: Weight, move: Move, p: int) -> bool:
     and otherwise its digits are [nu, e_k] with target = nu + e_k (the
     entry bumped to p splits off one Frobenius-twisted standard factor).
     """
-    _require_restricted(lam, p)
-    mu = apply_move(lam, move, p)
+    require_restricted(lam, p)
+    mu = _step(lam, move, p)
     parts = weight_to_partition(lam)
     i = _conormal_index_for(lam, move)
     if i not in conormal_indices(parts, p):

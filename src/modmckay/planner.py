@@ -13,9 +13,13 @@ zero-to-Steinberg path, and is driven by three statistics of the target:
 * M(mu):    mu itself when on the canonical path, otherwise the canonical
   weight with a 1 at s_mu, the entry mu_ell at ell(mu) and p-1 beyond.
 
-Every plan is re-validated move by move; a failed step raises
-InvariantViolationError rather than being silently repaired, since it can
-only mean a bug in the construction.
+The source and target are validated once, at the public boundary.  Each
+emitted move is then checked exactly once, as it is applied, by finding it
+among the certified edges out of the current weight (either label of a
+parallel edge is accepted), and the finished walk must end at the target
+within the length bound.  A failed check raises InvariantViolationError
+rather than being silently repaired, since it can only mean a bug in the
+construction.
 
 All prose steps of the underlying recipe that admit two readings are
 resolved the way the move validator and the length bound both accept;
@@ -24,6 +28,7 @@ comments mark each such point inline.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,13 +38,12 @@ from .moves import (
     CLEAR_FORWARD,
     CLEAR_LAST,
     Move,
-    NoSuchEdgeError,
     NotApplicableError,
-    apply_move,
+    _step,
     first_nonzero_position,
     validate_move,
 )
-from .weights import Weight, check_weight, is_p_restricted, steinberg_weight
+from .weights import Weight, require_restricted, steinberg_weight
 
 
 class InvariantViolationError(AssertionError):
@@ -51,17 +55,10 @@ def length_bound(n: int, p: int) -> int:
     return (p - 1) * n * (n - 1) // 2
 
 
-def _require_restricted(w: Weight, p: int) -> Weight:
-    check_weight(w)
-    if not is_p_restricted(w, p):
-        raise ValueError(f"weight is not {p}-restricted: {w}")
-    return w
-
-
 def ell(mu: Weight, p: int) -> int:
     """0 for the Steinberg weight, n for zero, else the largest position
     whose entry is < p-1."""
-    _require_restricted(mu, p)
+    require_restricted(mu, p)
     n = len(mu) + 1
     if mu == steinberg_weight(n, p):
         return 0
@@ -104,7 +101,7 @@ def s_mu(mu: Weight, p: int) -> int:
 def capital_M_of(mu: Weight, p: int) -> Weight:
     """The canonical waypoint attached to mu: mu itself if canonical, else
     zeros with a 1 at s_mu, mu's entry at ell(mu), and p-1 afterwards."""
-    _require_restricted(mu, p)
+    require_restricted(mu, p)
     n = len(mu) + 1
     if mu in canonical_set(n, p):
         return mu
@@ -138,24 +135,24 @@ def path_from_M(mu: Weight, p: int) -> list[Move]:
     s_mu from its seed 1 to mu's value, then carry single 1s into each
     lower position the required number of times.
     """
-    _require_restricted(mu, p)
+    require_restricted(mu, p)
     n = len(mu) + 1
     if mu in canonical_set(n, p):
         return []
     s = s_mu(mu, p)
     moves: list[Move] = []
-
-    def travel(x: int) -> None:
-        moves.append(Move(ADD_FIRST))
-        for k in range(1, x):
-            moves.append(Move(CLEAR_FORWARD, k))
-
     for _ in range(mu[s - 1] - 1):
-        travel(s)
+        moves += _travel(s)
     for j in range(s - 1, 0, -1):
         for _ in range(mu[j - 1]):
-            travel(j)
+            moves += _travel(j)
     return moves
+
+
+@lru_cache(maxsize=None)
+def _travel(x: int) -> tuple[Move, ...]:
+    """Add a 1 at the front and carry it along to position x."""
+    return (Move(ADD_FIRST),) + tuple(Move(CLEAR_FORWARD, k) for k in range(1, x))
 
 
 @dataclass(frozen=True)
@@ -197,9 +194,10 @@ class PathPlan:
 
 
 class _Builder:
-    """Accumulates moves while tracking the current weight; any move that
-    fails to apply is a construction bug and surfaces as an invariant
-    violation."""
+    """Accumulates moves while tracking the current weight, which is
+    p-restricted from the validated source on; a move that is not a
+    certified edge out of the current weight is a construction bug and
+    surfaces as an invariant violation."""
 
     def __init__(self, source: Weight, p: int):
         self.p = p
@@ -209,15 +207,13 @@ class _Builder:
 
     def emit(self, move: Move) -> None:
         try:
-            self.cur = apply_move(self.cur, move, self.p)
-        except (NotApplicableError, ValueError) as exc:
-            raise InvariantViolationError(
-                f"constructed move {move} fails at {self.cur}: {exc}"
-            ) from exc
+            self.cur = _step(self.cur, move, self.p)
+        except NotApplicableError as exc:
+            raise InvariantViolationError(f"constructed move fails: {exc}") from exc
         self.moves.append(move)
         self.waypoints.append(self.cur)
 
-    def extend(self, moves: list[Move]) -> None:
+    def extend(self, moves: Iterable[Move]) -> None:
         for move in moves:
             self.emit(move)
 
@@ -225,17 +221,11 @@ class _Builder:
         for _ in range(times):
             self.emit(Move(ADD_FIRST))
 
-    def travel(self, x: int) -> None:
-        """Add a 1 at the front and carry it along to position x."""
-        self.emit(Move(ADD_FIRST))
-        for k in range(1, x):
-            self.emit(Move(CLEAR_FORWARD, k))
-
     def fill(self, x: int, value: int) -> None:
         """Raise entry x from its current value to ``value`` by repeated
         carries; never wraps because value <= p-1."""
         while self.cur[x - 1] < value:
-            self.travel(x)
+            self.extend(_travel(x))
 
     def sweep_below(self, stop: int) -> None:
         """Clear forward from the first nonzero entry until every position
@@ -254,8 +244,8 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
     then fill in mu's lower entries with path_from_M.  Equal weights give
     the empty plan.
     """
-    _require_restricted(lam, p)
-    _require_restricted(mu, p)
+    require_restricted(lam, p)
+    require_restricted(mu, p)
     if len(lam) != len(mu):
         raise ValueError(f"rank mismatch: {len(lam) + 1} vs {len(mu) + 1}")
     n = len(lam) + 1
@@ -268,7 +258,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
         # Ride the canonical path to M(mu), then fill.
         target = capital_M_of(mu, p)
         idx = canonical_path_char0(n, p).index(target)
-        b.extend(list(_canonical_moves(n, p)[:idx]))
+        b.extend(_canonical_moves(n, p)[:idx])
         b.extend(path_from_M(mu, p))
     elif mu == zero:
         # Not covered by the ell-comparison cases (mu's entry at ell(mu)=n
@@ -294,7 +284,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
             if l_mu >= 1:
                 b.fill(l_mu, mu[l_mu - 1])
             if s >= 1:
-                b.travel(s)
+                b.extend(_travel(s))
             b.extend(path_from_M(mu, p))
         elif mu[l_mu - 1] != 0:
             # ell(lam) <= ell(mu): sweeping below ell(mu) deposits exactly
@@ -307,7 +297,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
                     f"wanted {mu[l_mu - 1]}"
                 )
             if s >= 1:
-                b.travel(s)
+                b.extend(_travel(s))
             b.extend(path_from_M(mu, p))
         elif l_mu == n - 1:
             # Target entry 0 at the last position: flush the sum to a 1
@@ -318,7 +308,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
                 raise InvariantViolationError(f"flush before clear_last left {b.cur}")
             b.emit(Move(CLEAR_LAST))
             if s >= 1:
-                b.travel(s)
+                b.extend(_travel(s))
             b.extend(path_from_M(mu, p))
         else:
             # Target entry 0 strictly inside: sweep leaves 0 or p-1 at
@@ -334,29 +324,21 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
                     f"sweep left {b.cur[l_mu - 1]} at position {l_mu}, wanted 0"
                 )
             if s >= 1:
-                b.travel(s)
+                b.extend(_travel(s))
             b.extend(path_from_M(mu, p))
 
     return _finish(b, n, p, lam, mu)
 
 
 def _finish(b: _Builder, n: int, p: int, lam: Weight, mu: Weight) -> PathPlan:
-    """Re-validate the constructed walk step by step and freeze it."""
+    """Check that the walk, whose steps ``emit`` has checked, ends at mu
+    within the length bound, and freeze it."""
     if b.cur != mu:
         raise InvariantViolationError(f"plan ends at {b.cur}, wanted {mu}")
     if len(b.moves) > length_bound(n, p):
         raise InvariantViolationError(
             f"plan length {len(b.moves)} exceeds bound {length_bound(n, p)}"
         )
-    for w, move, nxt in zip(b.waypoints, b.moves, b.waypoints[1:]):
-        try:
-            checked = validate_move(w, nxt, p)
-        except NoSuchEdgeError as exc:
-            raise InvariantViolationError(str(exc)) from exc
-        if checked != move:
-            raise InvariantViolationError(
-                f"step {w} -> {nxt} validates as {checked}, plan recorded {move}"
-            )
     return PathPlan(
         n=n,
         p=p,

@@ -161,6 +161,17 @@ def is_p_restricted(w: Weight, p: int) -> bool:
     return all(0 <= m < p for m in check_weight(w))
 
 
+def require_restricted(w: Weight, p: int) -> Weight:
+    """Validate a p-restricted weight in one pass over its entries: at
+    least one entry, each an integer in 0..p-1.  Raises ValueError."""
+    if p < 2:
+        raise ValueError("need p >= 2")
+    if not (w and all(isinstance(m, int) and 0 <= m < p for m in w)):
+        check_weight(w)
+        raise ValueError(f"weight is not {p}-restricted: {w}")
+    return w
+
+
 def steinberg_weight(n: int, p: int) -> Weight:
     """The weight (p-1, ..., p-1), the largest p-restricted weight."""
     if n < 2 or p < 2:

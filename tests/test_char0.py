@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import deque
 from itertools import product
 
@@ -126,6 +127,10 @@ class TestChar0Distance:
     def test_line_graph_n2(self):
         for k in range(7):
             assert char0_distance((0,), (k,), 10) == k
+
+    def test_deeper_than_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 200
+        assert char0_distance((0,), (depth,), depth + 100) == depth
 
     def test_exceeds_budget(self):
         assert char0_distance((0, 0), (2, 2), 3) is None

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from modmckay import cli
 from modmckay.cli import main
+from modmckay.planner import InvariantViolationError
 
 
 def run(capsys, *argv):
@@ -156,6 +158,21 @@ class TestErrorHandling:
         code, _, err = run(capsys, "diameter", "--p", "3")
         assert code == 2 and "needs --n" in err
 
+    def test_invariant_violation_exits_1(self, capsys, monkeypatch):
+        def broken(lam, mu, p):
+            raise InvariantViolationError("plan ends at (1, 0), wanted (0, 1)")
+
+        monkeypatch.setattr(cli, "plan_path", broken)
+        code, out, err = run(capsys, "plan", "--p", "3", "--from", "0,0", "--to", "0,1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "plan ends at" in err
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "diameter", "--n", "3", "--p", "2", "--output", str(tmp_path)
+        )
+        assert code == 2 and err.startswith("error:")
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -175,7 +192,3 @@ class TestOutputHandling:
         _, second, _ = run(capsys, "graph", "--n", "3", "--p", "3", "--format", "json")
         assert first == second
 
-    def test_parallel_diameter_matches(self, capsys):
-        _, serial, _ = run(capsys, "diameter", "--n", "4", "--p", "2")
-        _, parallel, _ = run(capsys, "diameter", "--n", "4", "--p", "2", "--parallel")
-        assert serial == parallel

@@ -5,7 +5,6 @@ from modmckay.graph import (
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
-    all_pairs_distances,
     enumerate_p_restricted,
     graph_from_json,
     graph_to_dot,
@@ -102,10 +101,6 @@ class TestBfs:
             for w in g.vertices:
                 assert all(d is not None for d in bfs_distances(g, w))
 
-    def test_parallel_matches_serial(self):
-        g = build_certified_graph(3, 3)
-        assert all_pairs_distances(g, parallel=True) == all_pairs_distances(g)
-
 
 class TestDiameter:
     def test_3_2_with_witness(self):
@@ -117,10 +112,6 @@ class TestDiameter:
             g = build_certified_graph(n, p)
             diam, _ = subgraph_diameter(g)
             assert diam == length_bound(n, p)
-
-    def test_parallel_matches_serial(self):
-        g = build_certified_graph(4, 2)
-        assert subgraph_diameter(g, parallel=True) == subgraph_diameter(g)
 
 
 class TestExports:

@@ -15,6 +15,7 @@ from modmckay.moves import (
     move_clear_last,
     validate_move,
 )
+from modmckay.planner import capital_M_of, path_from_M
 from modmckay.weights import f_value, is_p_restricted
 
 SMALL_INSTANCES = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
@@ -170,3 +171,28 @@ class TestCertifyViaConormal:
     def test_inapplicable_move_raises(self):
         with pytest.raises(NotApplicableError):
             certify_via_conormal((1, 0, 0), Move("clear_last"), 2)
+
+
+_CHECKED_AT_BOUNDARY = {
+    "apply_move": lambda w: apply_move(w, Move("add_first"), 3),
+    "certified_moves": lambda w: certified_moves(w, 3),
+    "validate_move_source": lambda w: validate_move(w, (1, 0), 3),
+    "validate_move_target": lambda w: validate_move((1, 0), w, 3),
+    "move_add_first": lambda w: move_add_first(w, 3),
+    "move_clear_forward": lambda w: move_clear_forward(w, 3),
+    "certify_via_conormal": lambda w: certify_via_conormal(w, Move("add_first"), 3),
+    "capital_M_of": lambda w: capital_M_of(w, 3),
+    "path_from_M": lambda w: path_from_M(w, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "call", list(_CHECKED_AT_BOUNDARY.values()), ids=list(_CHECKED_AT_BOUNDARY)
+)
+@pytest.mark.parametrize("bad", [(3, 0), (-1, 0)], ids=["unrestricted", "negative"])
+def test_public_functions_reject_bad_weights(call, bad):
+    # Exactly ValueError: the boundary check fires, not a NotApplicableError
+    # from the trusting kernel behind it.
+    with pytest.raises(ValueError) as excinfo:
+        call(bad)
+    assert excinfo.type is ValueError

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from modmckay import planner
 from modmckay.graph import all_pairs_distances, build_certified_graph
 from modmckay.moves import (
     Move,
@@ -235,3 +236,27 @@ class TestPathPlanSerialization:
 class TestInvariantGuards:
     def test_invariant_error_is_distinguishable(self):
         assert issubclass(InvariantViolationError, AssertionError)
+
+    def test_step_check_accepts_parallel_edge_label(self):
+        # (2,) -> (1,) at p=3 is both add_first and clear_last.
+        b = planner._Builder((2,), 3)
+        b.emit(Move("clear_last"))
+        plan = planner._finish(b, 2, 3, (2,), (1,))
+        assert plan.moves == (Move("clear_last"),)
+        assert plan.waypoints == ((2,), (1,))
+
+    @pytest.mark.parametrize("drop", [1, -1], ids=["first", "last"])
+    def test_corrupted_travel_never_returns_a_plan(self, monkeypatch, drop):
+        real = planner._travel
+
+        def corrupted(x):
+            moves = list(real(x))
+            if x > 1:
+                del moves[drop]  # one clear_forward goes missing
+            return tuple(moves)
+
+        monkeypatch.setattr(planner, "_travel", corrupted)
+        # Steinberg -> (0,0,2,1) carries to position 3 both in plan_path's
+        # own seeding step and in path_from_M.
+        with pytest.raises(InvariantViolationError):
+            plan_path((2, 2, 2, 2), (0, 0, 2, 1), 3)
