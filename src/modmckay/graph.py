@@ -4,6 +4,16 @@ BFS distances, diameter, and DOT/JSON/CSV export.
 Vertices are listed in lexicographic order, so indices are deterministic.
 Out-degrees are 1 (zero weight) or 2, and every edge obeys the potential
 law f(head) <= f(tail) + 1.  The graph is immutable after construction.
+
+The diameter is one bit-parallel traversal from all V sources at once
+(multi-source traversal over bitsets, after Then et al., PVLDB 8(4),
+2014), not V separate BFS runs: every vertex keeps a V-bit mask of the
+sources that reach it, and each round ORs in the masks of its
+predecessors until every mask is full.  Two generations of masks take
+2 * V^2 / 8 bytes; above DIAMETER_MEMORY_LIMIT (1 GiB, about 65,000
+vertices) the diameter is refused with BudgetExceededError before
+anything is allocated.  Per-source BFS still serves single rows, the CSV
+distance matrix, and the tests as the independent oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ from .planner import PathPlan
 from .weights import Weight, format_weight
 
 DEFAULT_VERTEX_BUDGET = 10**6
+# Bytes the diameter's two generations of reachability masks may take.
+DIAMETER_MEMORY_LIMIT = 1 << 30
 
 
 class BudgetExceededError(RuntimeError):
@@ -102,24 +114,62 @@ def all_pairs_distances(g: CertifiedGraph) -> list[list[int | None]]:
 
 
 def subgraph_diameter(g: CertifiedGraph) -> tuple[int, tuple[Weight, Weight]]:
-    """Maximum finite distance over all ordered pairs, with the first
-    attaining pair in (source index, target index) order.  Unreachable
-    pairs would make the diameter infinite; that is reported as an error
-    rather than skipped."""
-    best = -1
-    witness: tuple[Weight, Weight] | None = None
-    for i, row in enumerate(all_pairs_distances(g)):
-        for j, d in enumerate(row):
-            if d is None:
-                raise BudgetExceededError(
-                    f"vertex {g.vertices[j]} unreachable from {g.vertices[i]}; "
-                    "the certified subgraph should be strongly connected"
-                )
-            if d > best:
-                best = d
-                witness = (g.vertices[i], g.vertices[j])
-    assert witness is not None
-    return best, witness
+    """Maximum distance over all ordered pairs, with the first attaining
+    pair in (source index, target index) order.
+
+    Bit s of ``reach[v]`` is set once source s reaches v; round k ORs into
+    each mask the masks of v's predecessors, so after k rounds it holds
+    the sources within distance k.  The round that fills every mask is
+    the diameter, and the pairs at that distance are the bits still
+    missing one round earlier.  Unreachable pairs would make the diameter
+    infinite; a round that changes nothing while a mask is not full
+    reports the first such pair as an error rather than skipping it.
+    """
+    size = len(g.vertices)
+    need = 2 * size * size // 8
+    if need > DIAMETER_MEMORY_LIMIT:
+        raise BudgetExceededError(
+            f"the diameter of {size} vertices needs {need} bytes of "
+            f"reachability masks, over the limit of {DIAMETER_MEMORY_LIMIT}"
+        )
+    preds: list[set[int]] = [set() for _ in range(size)]
+    for u, adj in enumerate(g.adjacency):
+        for _, v in adj:
+            if u != v:
+                preds[v].add(u)
+    full = (1 << size) - 1
+    reach = [1 << v for v in range(size)]
+    rounds = 0
+    witness = (0, 0)  # a lone vertex is its own farthest vertex
+    while any(m != full for m in reach):
+        nxt = []
+        for m, ps in zip(reach, preds):
+            for u in ps:
+                m |= reach[u]
+            nxt.append(m)
+        if nxt == reach:
+            i, j = _first_missing(reach, full)
+            raise BudgetExceededError(
+                f"vertex {g.vertices[j]} unreachable from {g.vertices[i]}; "
+                "the certified subgraph should be strongly connected"
+            )
+        rounds += 1
+        if all(m == full for m in nxt):
+            witness = _first_missing(reach, full)
+        reach = nxt
+    i, j = witness
+    return rounds, (g.vertices[i], g.vertices[j])
+
+
+def _first_missing(reach: list[int], full: int) -> tuple[int, int]:
+    """The first (source, target) index pair, in row-major order, whose
+    bit is missing from the masks ``reach``; some bit must be."""
+    holes = 0
+    for m in reach:
+        holes |= full ^ m
+    i = (holes & -holes).bit_length() - 1
+    j = next(j for j, m in enumerate(reach) if not m >> i & 1)
+    return i, j
 
 
 def _dot(name: str, nodes: list[str], edges: list[tuple[str, str, str]]) -> str:

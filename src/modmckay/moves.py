@@ -22,6 +22,7 @@ conormal-index criterion as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .conormal import block_form, conormal_indices
 from .weights import (
@@ -98,6 +99,13 @@ _ADD_FIRST_MOVE = Move(ADD_FIRST)
 _CLEAR_LAST_MOVE = Move(CLEAR_LAST)
 
 
+@lru_cache(maxsize=None)
+def _clear_forward(s: int) -> Move:
+    """The clear_forward label at position s, built and validated once
+    per position rather than once per step."""
+    return Move(CLEAR_FORWARD, s)
+
+
 def _successors(w: Weight, p: int) -> list[tuple[Move, Weight]]:
     """The 1 or 2 certified edges out of ``w``, add_first first.  This is
     the one statement of the move rules; it trusts ``w`` to be
@@ -112,7 +120,7 @@ def _successors(w: Weight, p: int) -> list[tuple[Move, Weight]]:
         cleared = list(w)
         cleared[s - 1] -= 1
         cleared[s] = _rep(cleared[s] + 1, p)
-        out.append((Move(CLEAR_FORWARD, s), tuple(cleared)))
+        out.append((_clear_forward(s), tuple(cleared)))
     return out
 
 
@@ -137,7 +145,7 @@ def move_clear_forward(w: Weight, p: int) -> Weight:
     sit at some position s < n-1."""
     require_restricted(w, p)
     # Position n-1 stands in for the zero weight: neither has a clear_forward.
-    return _step(w, Move(CLEAR_FORWARD, first_nonzero_position(w) or len(w)), p)
+    return _step(w, _clear_forward(first_nonzero_position(w) or len(w)), p)
 
 
 def move_clear_last(w: Weight) -> Weight:

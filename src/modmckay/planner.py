@@ -34,11 +34,11 @@ from functools import lru_cache
 
 from .char0 import canonical_path_char0
 from .moves import (
-    ADD_FIRST,
-    CLEAR_FORWARD,
-    CLEAR_LAST,
+    _ADD_FIRST_MOVE,
+    _CLEAR_LAST_MOVE,
     Move,
     NotApplicableError,
+    _clear_forward,
     _step,
     first_nonzero_position,
     validate_move,
@@ -152,7 +152,7 @@ def path_from_M(mu: Weight, p: int) -> list[Move]:
 @lru_cache(maxsize=None)
 def _travel(x: int) -> tuple[Move, ...]:
     """Add a 1 at the front and carry it along to position x."""
-    return (Move(ADD_FIRST),) + tuple(Move(CLEAR_FORWARD, k) for k in range(1, x))
+    return (_ADD_FIRST_MOVE,) + tuple(_clear_forward(k) for k in range(1, x))
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ class _Builder:
 
     def add_first(self, times: int = 1) -> None:
         for _ in range(times):
-            self.emit(Move(ADD_FIRST))
+            self.emit(_ADD_FIRST_MOVE)
 
     def fill(self, x: int, value: int) -> None:
         """Raise entry x from its current value to ``value`` by repeated
@@ -234,7 +234,7 @@ class _Builder:
             s = first_nonzero_position(self.cur)
             if s is None or s >= stop:
                 return
-            self.emit(Move(CLEAR_FORWARD, s))
+            self.emit(_clear_forward(s))
 
 
 def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
@@ -268,7 +268,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
         b.sweep_below(n - 1)
         if b.cur != zero[:-1] + (1,):
             raise InvariantViolationError(f"flush before clear_last left {b.cur}")
-        b.emit(Move(CLEAR_LAST))
+        b.emit(_CLEAR_LAST_MOVE)
     else:
         l_lam, l_mu = ell(lam, p), ell(mu, p)
         s = s_mu(mu, p)
@@ -306,7 +306,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
             b.sweep_below(n - 1)
             if b.cur != zero[:-1] + (1,):
                 raise InvariantViolationError(f"flush before clear_last left {b.cur}")
-            b.emit(Move(CLEAR_LAST))
+            b.emit(_CLEAR_LAST_MOVE)
             if s >= 1:
                 b.extend(_travel(s))
             b.extend(path_from_M(mu, p))
@@ -318,7 +318,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
             b.sweep_below(l_mu)
             if b.cur[l_mu - 1] == p - 1:
                 for _ in range(p - 1):
-                    b.emit(Move(CLEAR_FORWARD, l_mu))
+                    b.emit(_clear_forward(l_mu))
             if b.cur[l_mu - 1] != 0:
                 raise InvariantViolationError(
                     f"sweep left {b.cur[l_mu - 1]} at position {l_mu}, wanted 0"

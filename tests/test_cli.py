@@ -3,6 +3,7 @@ import json
 import pytest
 
 from modmckay import cli
+from modmckay import graph as graph_mod
 from modmckay.cli import main
 from modmckay.planner import InvariantViolationError
 
@@ -127,6 +128,48 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert all(check["ok"] for check in payload["checks"])
+
+    def test_planner_invariant_violation_fails_check(self, capsys, monkeypatch):
+        def broken(lam, mu, p):
+            raise InvariantViolationError("plan ends at (1,), wanted (0,)")
+
+        monkeypatch.setattr(cli, "plan_path", broken)
+        code, out, _ = run(capsys, "verify", "--n", "2", "--p", "3")
+        assert code == 1
+        assert "FAIL  planner valid, admissible, within bound" in out
+        assert out.endswith("some checks FAILED\n")
+
+    def test_planner_bug_propagates(self, capsys, monkeypatch):
+        def broken(lam, mu, p):
+            raise RuntimeError("planner bug")
+
+        monkeypatch.setattr(cli, "plan_path", broken)
+        with pytest.raises(RuntimeError, match="planner bug"):
+            main(["verify", "--n", "2", "--p", "3"])
+
+    def test_refused_diameter_fails_both_checks(self, capsys, monkeypatch):
+        monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 1)
+        code, out, _ = run(capsys, "verify", "--n", "3", "--p", "2")
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert code == 1
+        assert [line.split(None, 1)[1].strip() for line in failed] == [
+            "strongly connected",
+            "diameter equals (p-1)(n^2-n)/2",
+        ]
+
+    def test_bfs_rows_only_from_planned_sources(self, capsys, monkeypatch):
+        sources = []
+
+        def counting(g, source):
+            sources.append(source)
+            return graph_mod.bfs_distances(g, source)
+
+        monkeypatch.setattr(cli, "bfs_distances", counting)
+        # 289 vertices: verify samples 300 pairs plus (zero, Steinberg).
+        code, _, _ = run(capsys, "verify", "--n", "3", "--p", "17")
+        assert code == 0
+        assert len(sources) == len(set(sources)) < 289
+        assert (0, 0) in sources
 
 
 class TestErrorHandling:

@@ -1,7 +1,11 @@
 import pytest
 
+from modmckay import graph as graph_mod
+from modmckay.cli import main
 from modmckay.graph import (
     BudgetExceededError,
+    CertifiedGraph,
+    all_pairs_distances,
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
@@ -102,16 +106,80 @@ class TestBfs:
                 assert all(d is not None for d in bfs_distances(g, w))
 
 
+def bfs_diameter(g):
+    """The diameter the slow way: a BFS from every vertex, the first
+    attaining pair in (source, target) order, and an error naming the
+    first unreachable pair in that order."""
+    best, witness = -1, None
+    for i, row in enumerate(all_pairs_distances(g)):
+        for j, d in enumerate(row):
+            if d is None:
+                raise BudgetExceededError(
+                    f"vertex {g.vertices[j]} unreachable from {g.vertices[i]}"
+                )
+            if d > best:
+                best, witness = d, (g.vertices[i], g.vertices[j])
+    return best, witness
+
+
+# Every (n, p) with at most 2,200 vertices for these p: n = 2 for each,
+# and p = 2, whose add_first edges include self-loops.
+ORACLE_SIZES = [
+    (n, p)
+    for p in (2, 3, 5, 7, 11, 13)
+    for n in range(2, 13)
+    if p ** (n - 1) <= 2200
+]
+
+
+def sink_graph() -> CertifiedGraph:
+    """0 -> 1 -> 3 -> 0 and 3 -> 2, with no edge out of 2."""
+    vertices = ((0,), (1,), (2,), (3,))
+    m = Move("add_first")
+    adjacency = (((m, 1),), ((m, 3),), (), ((m, 0), (m, 2)))
+    return CertifiedGraph(n=2, p=4, vertices=vertices, adjacency=adjacency)
+
+
 class TestDiameter:
     def test_3_2_with_witness(self):
         g = build_certified_graph(3, 2)
         assert subgraph_diameter(g) == (3, ((0, 0), (1, 1)))
 
     def test_formula_instances(self):
-        for n, p in [(3, 3), (2, 5)]:
+        for n, p in [(3, 3), (2, 5), (8, 3), (4, 13)]:
             g = build_certified_graph(n, p)
             diam, _ = subgraph_diameter(g)
             assert diam == length_bound(n, p)
+
+    @pytest.mark.parametrize("n,p", ORACLE_SIZES)
+    def test_matches_bfs_oracle(self, n, p):
+        g = build_certified_graph(n, p)
+        assert subgraph_diameter(g) == bfs_diameter(g)
+
+    def test_single_vertex(self):
+        g = CertifiedGraph(n=2, p=2, vertices=((0,),), adjacency=((),))
+        assert subgraph_diameter(g) == (0, ((0,), (0,)))
+
+    def test_sink_names_first_unreachable_pair(self):
+        g = sink_graph()
+        with pytest.raises(BudgetExceededError) as expected:
+            bfs_diameter(g)
+        assert str(expected.value) == "vertex (0,) unreachable from (2,)"
+        with pytest.raises(BudgetExceededError) as exc:
+            subgraph_diameter(g)
+        assert str(exc.value).startswith(str(expected.value) + ";")
+
+    def test_memory_limit_refuses_diameter(self, capsys, monkeypatch):
+        # (3, 3) has 9 vertices: two mask generations take 2 * 81 / 8 = 20 bytes.
+        monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 19)
+        with pytest.raises(BudgetExceededError):
+            subgraph_diameter(build_certified_graph(3, 3))
+        code = main(["diameter", "--n", "3", "--p", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "20 bytes" in captured.err
+        monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 20)
+        assert subgraph_diameter(build_certified_graph(3, 3))[0] == 6
 
 
 class TestExports:
