@@ -2,10 +2,18 @@
 
 One subcommand per operation; all take weights as comma-separated entry
 lists (``--weight 1,0,0,0``), with ``--n`` inferred from the length when
-omitted.  ``--format`` selects text, json or dot where applicable.  Exit
-codes: 0 success; 1 verification failure (``verify``, ``validate``) or a
-planner invariant violation, reported as ``error:`` on stderr; 2 malformed
-input, or an ``--output`` file that cannot be written.
+omitted.  ``--format`` selects text, json, dot or csv where applicable.
+
+Each subcommand is registered once, by the ``_command`` decorator on its
+handler: the help text, the option groups, the formats and whether
+``--n`` is required.  The parser is built from that table.  A handler
+returns ``(payload, views, code)``: ``main`` renders ``--format json``
+from the payload, which may hold weight tuples and Move, PathPlan or
+CertifiedGraph objects, and every other format by calling the view of
+that name, so each output is built only when asked for.  Exit codes: 0 success; 1
+verification failure (``verify``, ``validate``) or a planner invariant
+violation, reported as ``error:`` on stderr; 2 malformed input, or an
+``--output`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -13,8 +21,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import graph as graph_mod
 from .char0 import canonical_path_char0, char0_distance, lr_neighbors
@@ -39,78 +50,97 @@ from .weights import (
 )
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    options: tuple[str, ...]
+    formats: tuple[str, ...]
+    needs_n: bool
 
 
-def _check_p(args) -> int:
-    p = args.p
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    if not _is_prime(p) and not args.allow_nonprime:
-        raise ValueError(
-            f"p = {p} is not prime; pass --allow-nonprime to experiment anyway"
-        )
-    return p
+_COMMANDS: dict[str, _Command] = {}
 
 
-def _weight_arg(text: str, args) -> Weight:
+def _command(name, helptext, *options, formats=("text",), needs_n=False):
+    """Register the decorated handler as subcommand ``name``.  Besides
+    ``--n`` and ``--output`` it takes the option groups ``options``: "p",
+    "weight", "fromto", "from" (an optional --from), "search-budget" or
+    "vertex-budget"."""
+    def register(handler):
+        _COMMANDS[name] = _Command(handler, helptext, options, formats, needs_n)
+        return handler
+    return register
+
+
+def _weight_arg(text: str, n: int | None) -> Weight:
     w = parse_weight(text)
-    n = getattr(args, "n", None)
     if n is not None and len(w) != n - 1:
         raise ValueError(f"--n {n} expects {n - 1} entries, got weight {text!r}")
     return w
 
 
+def _check_args(args, cmd: _Command) -> None:
+    """Validate --n and --p and parse the required weights in place, so
+    every handler receives checked values."""
+    if cmd.needs_n:
+        if args.n is None:
+            raise ValueError(f"{args.command} needs --n")
+        if args.n < 2:
+            raise ValueError(f"need n >= 2, got {args.n}")
+    if "p" in cmd.options:
+        if args.p < 2:
+            raise ValueError(f"need p >= 2, got {args.p}")
+        composite = any(args.p % d == 0 for d in range(2, math.isqrt(args.p) + 1))
+        if composite and not args.allow_nonprime:
+            raise ValueError(
+                f"p = {args.p} is not prime; pass --allow-nonprime to experiment anyway"
+            )
+    if "weight" in cmd.options:
+        args.weight = _weight_arg(args.weight, args.n)
+    if "fromto" in cmd.options:
+        args.src = _weight_arg(args.src, args.n)
+        args.tgt = _weight_arg(args.tgt, args.n)
+
+
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Moves, plans and graphs in the payload render through their
+    to_json_dict, only when JSON is asked for."""
+    return json.dumps(payload, indent=2, default=lambda obj: obj.to_json_dict()) + "\n"
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_f(args) -> tuple[str, int]:
-    w = _weight_arg(args.weight, args)
-    return f"{f_value(w)}\n", 0
+@_command("f", "potential f of a weight", "weight")
+def _cmd_f(args):
+    value = f_value(args.weight)
+    return value, {"text": lambda: f"{value}\n"}, 0
 
 
-def _cmd_coeffs(args) -> tuple[str, int]:
-    w = _weight_arg(args.weight, args)
+@_command("coeffs", "root coefficients scaled by n", "weight", formats=("text", "json"))
+def _cmd_coeffs(args):
+    w = args.weight
     scaled = to_scaled_root_coeffs(w)
-    if args.format == "json":
-        return (
-            _json(
-                {
-                    "n": len(w) + 1,
-                    "weight": list(w),
-                    "scaled_root_coefficients": list(scaled),
-                    "scale": len(w) + 1,
-                }
-            ),
-            0,
-        )
-    return format_weight(scaled) + "\n", 0
+    payload = {
+        "n": len(w) + 1,
+        "weight": w,
+        "scaled_root_coefficients": scaled,
+        "scale": len(w) + 1,
+    }
+    return payload, {"text": lambda: format_weight(scaled) + "\n"}, 0
 
 
-def _cmd_lr_neighbors(args) -> tuple[str, int]:
-    w = _weight_arg(args.weight, args)
+@_command("lr-neighbors", "characteristic-0 tensor neighbours", "weight",
+          formats=("text", "json", "dot"))
+def _cmd_lr_neighbors(args):
+    w = args.weight
     neighbors = sorted(lr_neighbors(w))
-    if args.format == "json":
-        payload = {
-            "weight": list(w),
-            "neighbors": [{"kind": k, "weight": list(t)} for k, t in neighbors],
-        }
-        return _json(payload), 0
-    if args.format == "dot":
-        return graph_mod.neighbors_to_dot(w, set(neighbors)), 0
-    return "".join(f"{k} -> {format_weight(t)}\n" for k, t in neighbors), 0
+    edges = [{"kind": k, "weight": t} for k, t in neighbors]
+    payload = {"weight": w, "neighbors": edges}
+    return payload, {
+        "text": lambda: "".join(f"{k} -> {format_weight(t)}\n" for k, t in neighbors),
+        "dot": lambda: graph_mod.neighbors_to_dot(w, set(neighbors)),
+    }, 0
 
 
 def _lr_kind(a: Weight, b: Weight) -> str:
@@ -118,188 +148,161 @@ def _lr_kind(a: Weight, b: Weight) -> str:
     return kinds[0] if kinds else "?"
 
 
-def _cmd_canonical_path(args) -> tuple[str, int]:
-    p = _check_p(args)
-    path = canonical_path_char0(args.n, p)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "p": p,
-            "length": len(path) - 1,
-            "waypoints": [list(w) for w in path],
-        }
-        return _json(payload), 0
-    if args.format == "dot":
-        nodes = [format_weight(w) for w in path]
-        edges = [
-            (format_weight(a), format_weight(b), _lr_kind(a, b))
-            for a, b in zip(path, path[1:])
-        ]
-        return graph_mod._dot(f"canonical_n{args.n}_p{p}", nodes, edges), 0
-    return "".join(format_weight(w) + "\n" for w in path), 0
+@_command("canonical-path", "explicit zero-to-Steinberg path", "p",
+          formats=("text", "json", "dot"), needs_n=True)
+def _cmd_canonical_path(args):
+    path = canonical_path_char0(args.n, args.p)
+    payload = {"n": args.n, "p": args.p, "length": len(path) - 1, "waypoints": path}
+
+    def dot() -> str:
+        kinds = [_lr_kind(a, b) for a, b in zip(path, path[1:])]
+        return graph_mod.walk_to_dot(f"canonical_n{args.n}_p{args.p}", path, kinds)
+
+    return payload, {
+        "text": lambda: "".join(format_weight(w) + "\n" for w in path),
+        "dot": dot,
+    }, 0
 
 
-def _cmd_char0_dist(args) -> tuple[str, int]:
-    src = _weight_arg(args.src, args)
-    tgt = _weight_arg(args.tgt, args)
-    dist = char0_distance(src, tgt, args.budget)
-    if args.format == "json":
-        payload = {"from": list(src), "to": list(tgt), "budget": args.budget}
-        payload["distance"] = dist
-        payload["exceeds_budget"] = dist is None
-        return _json(payload), 0
-    return ("exceeds budget\n" if dist is None else f"{dist}\n"), 0
+@_command("char0-dist", "exact bounded distance in characteristic 0",
+          "fromto", "search-budget", formats=("text", "json"))
+def _cmd_char0_dist(args):
+    dist = char0_distance(args.src, args.tgt, args.budget)
+    payload = {"from": args.src, "to": args.tgt, "budget": args.budget,
+               "distance": dist, "exceeds_budget": dist is None}
+    text = "exceeds budget\n" if dist is None else f"{dist}\n"
+    return payload, {"text": lambda: text}, 0
 
 
-def _cmd_conormal(args) -> tuple[str, int]:
-    p = _check_p(args)
-    w = _weight_arg(args.weight, args)
-    parts = weight_to_partition(w)
+@_command("conormal", "addable/removable/conormal indices of a weight's partition",
+          "p", "weight", formats=("text", "json"))
+def _cmd_conormal(args):
+    parts = weight_to_partition(args.weight)
     add = sorted(addable_indices(parts))
     rem = sorted(removable_indices(parts))
-    con = sorted(conormal_indices(parts, p))
-    if args.format == "json":
-        payload = {
-            "weight": list(w),
-            "partition": list(parts),
-            "addable": add,
-            "removable": rem,
-            "conormal": con,
-        }
-        return _json(payload), 0
-    return (
+    con = sorted(conormal_indices(parts, args.p))
+    payload = {
+        "weight": args.weight,
+        "partition": parts,
+        "addable": add,
+        "removable": rem,
+        "conormal": con,
+    }
+    return payload, {"text": lambda: (
         f"partition: {format_weight(parts)}\n"
         f"addable: {format_weight(tuple(add))}\n"
         f"removable: {format_weight(tuple(rem))}\n"
         f"conormal: {format_weight(tuple(con))}\n"
-    ), 0
+    )}, 0
 
 
-def _cmd_moves(args) -> tuple[str, int]:
-    p = _check_p(args)
-    w = _weight_arg(args.weight, args)
-    edges = certified_moves(w, p)
-    if args.format == "json":
-        payload = {
-            "weight": list(w),
-            "p": p,
-            "moves": [
-                {"move": m.to_json_dict(), "target": list(t)} for m, t in edges
-            ],
-        }
-        return _json(payload), 0
-    return "".join(f"{m} -> {format_weight(t)}\n" for m, t in edges), 0
+@_command("moves", "certified moves out of a weight", "p", "weight",
+          formats=("text", "json"))
+def _cmd_moves(args):
+    edges = certified_moves(args.weight, args.p)
+    moves = [{"move": m, "target": t} for m, t in edges]
+    payload = {"weight": args.weight, "p": args.p, "moves": moves}
+    return payload, {
+        "text": lambda: "".join(f"{m} -> {format_weight(t)}\n" for m, t in edges),
+    }, 0
 
 
-def _cmd_validate(args) -> tuple[str, int]:
-    p = _check_p(args)
-    src = _weight_arg(args.src, args)
-    tgt = _weight_arg(args.tgt, args)
+@_command("validate", "check that a pair of weights is a certified edge",
+          "p", "fromto", formats=("text", "json"))
+def _cmd_validate(args):
     try:
-        move = validate_move(src, tgt, p)
+        move = validate_move(args.src, args.tgt, args.p)
     except NoSuchEdgeError as exc:
-        if args.format == "json":
-            return _json({"move": None, "error": str(exc)}), 1
-        return f"no-such-edge: {exc}\n", 1
-    if args.format == "json":
-        return _json({"move": move.to_json_dict()}), 0
-    return f"{move}\n", 0
+        error = str(exc)
+        payload = {"move": None, "error": error}
+        return payload, {"text": lambda: f"no-such-edge: {error}\n"}, 1
+    return {"move": move}, {"text": lambda: f"{move}\n"}, 0
 
 
-def _cmd_plan(args) -> tuple[str, int]:
-    p = _check_p(args)
-    src = _weight_arg(args.src, args)
-    tgt = _weight_arg(args.tgt, args)
-    plan = plan_path(src, tgt, p)
-    if args.format == "json":
-        return _json(plan.to_json_dict()), 0
-    if args.format == "dot":
-        return graph_mod.plan_to_dot(plan), 0
-    lines = [
-        f"source {format_weight(plan.source)}",
-        f"target {format_weight(plan.target)}",
-        f"length {plan.length}",
-    ]
-    lines += [
-        f"{move} -> {format_weight(w)}"
-        for move, w in zip(plan.moves, plan.waypoints[1:])
-    ]
-    return "".join(line + "\n" for line in lines), 0
+@_command("plan", "explicit certified path between two weights", "p", "fromto",
+          formats=("text", "json", "dot"))
+def _cmd_plan(args):
+    plan = plan_path(args.src, args.tgt, args.p)
+
+    def text() -> str:
+        return (
+            f"source {format_weight(plan.source)}\n"
+            f"target {format_weight(plan.target)}\n"
+            f"length {plan.length}\n"
+        ) + "".join(
+            f"{move} -> {format_weight(w)}\n"
+            for move, w in zip(plan.moves, plan.waypoints[1:])
+        )
+
+    return plan, {
+        "text": text,
+        "dot": lambda: graph_mod.plan_to_dot(plan),
+    }, 0
 
 
-def _cmd_graph(args) -> tuple[str, int]:
-    p = _check_p(args)
-    g = build_certified_graph(args.n, p, args.budget)
-    if args.format == "json":
-        return graph_mod.graph_to_json(g), 0
-    if args.format == "dot":
-        return graph_mod.graph_to_dot(g), 0
-    return f"vertices {len(g.vertices)}\nedges {g.edge_count}\n", 0
+@_command("graph", "the certified subgraph for (n, p)", "p", "vertex-budget",
+          formats=("text", "json", "dot"), needs_n=True)
+def _cmd_graph(args):
+    g = build_certified_graph(args.n, args.p, args.budget)
+    return g, {
+        "text": lambda: f"vertices {len(g.vertices)}\nedges {g.edge_count}\n",
+        "dot": lambda: graph_mod.graph_to_dot(g),
+    }, 0
 
 
-def _cmd_bfs(args) -> tuple[str, int]:
-    p = _check_p(args)
-    g = build_certified_graph(args.n, p, args.budget)
+@_command("bfs", "BFS distances from a source (or the full CSV matrix)",
+          "p", "from", "vertex-budget", formats=("text", "json", "csv"), needs_n=True)
+def _cmd_bfs(args):
+    g = build_certified_graph(args.n, args.p, args.budget)
     if args.format == "csv":
-        return distance_matrix_csv(g), 0
+        return None, {"csv": lambda: distance_matrix_csv(g)}, 0
     if args.src is None:
         raise ValueError("bfs needs --from (or --format csv for the full matrix)")
-    src = _weight_arg(args.src, args)
+    src = _weight_arg(args.src, args.n)
     dist = bfs_distances(g, src)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "p": p,
-            "source": list(src),
-            "distances": [
-                {"weight": list(w), "distance": d}
-                for w, d in zip(g.vertices, dist)
-            ],
-        }
-        return _json(payload), 0
-    return (
-        "".join(
-            f"{format_weight(w)} {'inf' if d is None else d}\n"
-            for w, d in zip(g.vertices, dist)
-        ),
-        0,
-    )
+    rows = list(zip(g.vertices, dist))
+    distances = [{"weight": w, "distance": d} for w, d in rows]
+    payload = {"n": args.n, "p": args.p, "source": src, "distances": distances}
+    return payload, {"text": lambda: "".join(
+        f"{format_weight(w)} {'inf' if d is None else d}\n" for w, d in rows
+    )}, 0
 
 
-def _cmd_diameter(args) -> tuple[str, int]:
-    p = _check_p(args)
-    g = build_certified_graph(args.n, p, args.budget)
+@_command("diameter", "diameter of the certified subgraph", "p", "vertex-budget",
+          formats=("text", "json"), needs_n=True)
+def _cmd_diameter(args):
+    g = build_certified_graph(args.n, args.p, args.budget)
     diam, witness = subgraph_diameter(g)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "p": p,
-            "diameter": diam,
-            "witness": [list(witness[0]), list(witness[1])],
-            "formula": length_bound(args.n, p),
-        }
-        return _json(payload), 0
-    return f"{diam}\n", 0
+    payload = {
+        "n": args.n,
+        "p": args.p,
+        "diameter": diam,
+        "witness": witness,
+        "formula": length_bound(args.n, args.p),
+    }
+    return payload, {"text": lambda: f"{diam}\n"}, 0
 
 
-def _cmd_verify(args) -> tuple[str, int]:
-    p = _check_p(args)
-    lines, ok = run_verification(args.n, p, args.budget)
-    code = 0 if ok else 1
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "p": p,
-            "checks": [{"name": name, "ok": good} for name, good in lines],
-            "ok": ok,
-        }
-        return _json(payload), code
-    width = max(len(name) for name, _ in lines)
-    text = "".join(
-        f"{'PASS' if good else 'FAIL'}  {name.ljust(width)}\n" for name, good in lines
-    )
-    text += ("all checks passed\n" if ok else "some checks FAILED\n")
-    return text, code
+@_command("verify", "run the acceptance checks for (n, p)", "p", "vertex-budget",
+          formats=("text", "json"), needs_n=True)
+def _cmd_verify(args):
+    lines, ok = run_verification(args.n, args.p, args.budget)
+    payload = {
+        "n": args.n,
+        "p": args.p,
+        "checks": [{"name": name, "ok": good} for name, good in lines],
+        "ok": ok,
+    }
+
+    def text() -> str:
+        width = max(len(name) for name, _ in lines)
+        out = "".join(
+            f"{'PASS' if good else 'FAIL'}  {name.ljust(width)}\n"
+            for name, good in lines
+        )
+        return out + ("all checks passed\n" if ok else "some checks FAILED\n")
+
+    return payload, {"text": text}, 0 if ok else 1
 
 
 def run_verification(n: int, p: int, budget: int) -> tuple[list[tuple[str, bool]], bool]:
@@ -413,98 +416,43 @@ def _build_parser() -> argparse.ArgumentParser:
         "for the modular McKay graph of SL_n(p).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, helptext, *, n=False, p=False, weight=False, fromto=False,
-            formats=("text",), budget=None):
-        sp = sub.add_parser(name, help=helptext)
-        if n:
-            sp.add_argument("--n", type=int, help="rank parameter (inferred "
-                            "from weight length when omitted)")
-        if p:
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        sp.add_argument("--n", type=int, help="rank parameter (inferred "
+                        "from weight length when omitted)")
+        if "p" in cmd.options:
             sp.add_argument("--p", type=int, required=True, help="characteristic")
             sp.add_argument("--allow-nonprime", action="store_true",
                             help="skip the primality check on p")
-        if weight:
+        if "weight" in cmd.options:
             sp.add_argument("--weight", required=True,
                             help="comma-separated entries, e.g. 1,0,0,0")
-        if fromto:
-            sp.add_argument("--from", dest="src", required=(name != "bfs"),
+        if "from" in cmd.options or "fromto" in cmd.options:
+            sp.add_argument("--from", dest="src", required="fromto" in cmd.options,
                             help="source weight")
-            if name != "bfs":
-                sp.add_argument("--to", dest="tgt", required=True,
-                                help="target weight")
-        if len(formats) > 1:
-            sp.add_argument("--format", choices=formats, default="text")
-        if budget == "search":
+        if "fromto" in cmd.options:
+            sp.add_argument("--to", dest="tgt", required=True, help="target weight")
+        if len(cmd.formats) > 1:
+            sp.add_argument("--format", choices=cmd.formats, default="text")
+        if "search-budget" in cmd.options:
             sp.add_argument("--budget", type=int, required=True,
                             help="search depth budget (the graph is infinite)")
-        elif budget == "vertices":
+        if "vertex-budget" in cmd.options:
             sp.add_argument("--budget", type=int,
                             default=graph_mod.DEFAULT_VERTEX_BUDGET,
                             help="maximum number of vertices to enumerate")
         sp.add_argument("--output", help="write output to this file")
-        return sp
-
-    add("f", "potential f of a weight", weight=True, n=True)
-    add("coeffs", "root coefficients scaled by n", weight=True, n=True,
-        formats=("text", "json"))
-    add("lr-neighbors", "characteristic-0 tensor neighbours", weight=True,
-        n=True, formats=("text", "json", "dot"))
-    add("canonical-path", "explicit zero-to-Steinberg path", n=True, p=True,
-        formats=("text", "json", "dot"))
-    add("char0-dist", "exact bounded distance in characteristic 0",
-        n=True, fromto=True, budget="search", formats=("text", "json"))
-    add("conormal", "addable/removable/conormal indices of a weight's partition",
-        weight=True, n=True, p=True, formats=("text", "json"))
-    add("moves", "certified moves out of a weight", weight=True, n=True, p=True,
-        formats=("text", "json"))
-    add("validate", "check that a pair of weights is a certified edge",
-        n=True, p=True, fromto=True, formats=("text", "json"))
-    add("plan", "explicit certified path between two weights", n=True, p=True,
-        fromto=True, formats=("text", "json", "dot"))
-    add("graph", "the certified subgraph for (n, p)", n=True, p=True,
-        formats=("text", "json", "dot"), budget="vertices")
-    add("bfs", "BFS distances from a source (or the full CSV matrix)",
-        n=True, p=True, fromto=True, formats=("text", "json", "csv"),
-        budget="vertices")
-    add("diameter", "diameter of the certified subgraph", n=True, p=True,
-        formats=("text", "json"), budget="vertices")
-    add("verify", "run the acceptance checks for (n, p)", n=True, p=True,
-        formats=("text", "json"), budget="vertices")
     return parser
 
 
-_HANDLERS = {
-    "f": _cmd_f,
-    "coeffs": _cmd_coeffs,
-    "lr-neighbors": _cmd_lr_neighbors,
-    "canonical-path": _cmd_canonical_path,
-    "char0-dist": _cmd_char0_dist,
-    "conormal": _cmd_conormal,
-    "moves": _cmd_moves,
-    "validate": _cmd_validate,
-    "plan": _cmd_plan,
-    "graph": _cmd_graph,
-    "bfs": _cmd_bfs,
-    "diameter": _cmd_diameter,
-    "verify": _cmd_verify,
-}
-
-_NEEDS_N = {"canonical-path", "graph", "bfs", "diameter", "verify"}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "format"):
-        args.format = "text"
+    args = _build_parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
+    fmt = getattr(args, "format", "text")  # text-only commands take no --format
     try:
-        if args.command in _NEEDS_N:
-            if args.n is None:
-                raise ValueError(f"{args.command} needs --n")
-            if args.n < 2:
-                raise ValueError(f"need n >= 2, got {args.n}")
-        out, code = _HANDLERS[args.command](args)
+        _check_args(args, cmd)
+        payload, views, code = cmd.handler(args)
+        out = _json(payload) if fmt == "json" else views[fmt]()
     except (ValueError, BudgetExceededError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, InvariantViolationError) else 2

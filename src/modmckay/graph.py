@@ -22,6 +22,7 @@ import csv
 import io
 import json
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -75,6 +76,18 @@ class CertifiedGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self.adjacency)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "p": self.p,
+            "vertices": [list(w) for w in self.vertices],
+            "edges": [
+                {"from": i, "to": j, "move": move.to_json_dict()}
+                for i, adj in enumerate(self.adjacency)
+                for move, j in adj
+            ],
+        }
 
 
 def build_certified_graph(
@@ -173,8 +186,9 @@ def _first_missing(reach: list[int], full: int) -> tuple[int, int]:
 
 
 def _dot(name: str, nodes: list[str], edges: list[tuple[str, str, str]]) -> str:
+    """A node listed twice is written once, at its first place."""
     lines = [f"digraph {name} {{"]
-    lines += [f'  "{node}";' for node in nodes]
+    lines += [f'  "{node}";' for node in dict.fromkeys(nodes)]
     lines += [f'  "{a}" -> "{b}" [label="{label}"];' for a, b, label in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -191,47 +205,30 @@ def graph_to_dot(g: CertifiedGraph) -> str:
     return _dot(f"certified_n{g.n}_p{g.p}", nodes, edges)
 
 
+def walk_to_dot(name: str, waypoints: Iterable[Weight], labels: Iterable[str]) -> str:
+    """A walk as a DOT path with one label per step; a vertex visited
+    twice keeps one node, and a walk of one waypoint renders that vertex."""
+    names = [format_weight(w) for w in waypoints]
+    return _dot(name, names, list(zip(names, names[1:], labels)))
+
+
 def plan_to_dot(plan: PathPlan) -> str:
-    """A plan as a DOT path; an empty plan renders its single vertex."""
-    nodes = []
-    for w in plan.waypoints:  # repeated visits keep one node
-        label = format_weight(w)
-        if label not in nodes:
-            nodes.append(label)
-    edges = [
-        (format_weight(a), format_weight(b), str(move))
-        for a, move, b in zip(plan.waypoints, plan.moves, plan.waypoints[1:])
-    ]
-    return _dot(f"plan_n{plan.n}_p{plan.p}", nodes, edges)
+    """A plan as a DOT path labelled by its moves."""
+    labels = map(str, plan.moves)
+    return walk_to_dot(f"plan_n{plan.n}_p{plan.p}", plan.waypoints, labels)
 
 
 def neighbors_to_dot(w: Weight, neighbors: set[tuple[str, Weight]]) -> str:
     """The out-star of a vertex, e.g. characteristic-0 neighbours with
     their a / b(i) / c labels."""
     center = format_weight(w)
-    nodes = [center]
-    edges = []
-    for kind, nb in sorted(neighbors):
-        label = format_weight(nb)
-        if label not in nodes:
-            nodes.append(label)
-        edges.append((center, label, kind))
-    return _dot("neighbors", nodes, edges)
+    edges = [(center, format_weight(nb), kind) for kind, nb in sorted(neighbors)]
+    return _dot("neighbors", [center] + [nb for _, nb, _ in edges], edges)
 
 
 def graph_to_json(g: CertifiedGraph) -> str:
     """Deterministic JSON rendering; graph_from_json inverts it."""
-    payload = {
-        "n": g.n,
-        "p": g.p,
-        "vertices": [list(w) for w in g.vertices],
-        "edges": [
-            {"from": i, "to": j, "move": move.to_json_dict()}
-            for i, adj in enumerate(g.adjacency)
-            for move, j in adj
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(g.to_json_dict(), indent=2) + "\n"
 
 
 def graph_from_json(text: str) -> CertifiedGraph:

@@ -173,9 +173,12 @@ def certified_moves(w: Weight, p: int) -> list[tuple[Move, Weight]]:
 def validate_move(lam: Weight, mu: Weight, p: int) -> Move:
     """The move realizing the certified edge lam -> mu, or
     NoSuchEdgeError if there is none.  Where two labels give the same
-    edge, the first in certified_moves order is returned."""
+    edge, the first in certified_moves order is returned.  Weights of
+    different rank are bad input, a plain ValueError."""
     require_restricted(mu, p)
     require_restricted(lam, p)
+    if len(lam) != len(mu):
+        raise ValueError(f"rank mismatch: {len(lam) + 1} vs {len(mu) + 1}")
     for move, target in _successors(lam, p):
         if target == mu:
             return move

@@ -126,6 +126,12 @@ class TestValidateMove:
         with pytest.raises(NoSuchEdgeError):
             validate_move((1, 0), (1, 1), 3)
 
+    def test_rank_mismatch_is_bad_input(self):
+        for lam, mu in [((0, 0), (0,)), ((1,), (0, 1))]:
+            with pytest.raises(ValueError, match="rank mismatch") as exc:
+                validate_move(lam, mu, 3)
+            assert type(exc.value) is ValueError
+
     def test_agrees_with_certified_moves_exhaustively(self):
         # parallel edges with distinct labels exist (e.g. (2) -> (1) for
         # n=2, p=3); the validator reports the first in move order
