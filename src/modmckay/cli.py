@@ -10,10 +10,19 @@ handler: the help text, the option groups, the formats and whether
 returns ``(payload, views, code)``: ``main`` renders ``--format json``
 from the payload, which may hold weight tuples and Move, PathPlan or
 CertifiedGraph objects, and every other format by calling the view of
-that name, so each output is built only when asked for.  Exit codes: 0 success; 1
-verification failure (``verify``, ``validate``) or a planner invariant
-violation, reported as ``error:`` on stderr; 2 malformed input, or an
-``--output`` file that cannot be written.
+that name, so each output is built only when asked for.
+
+JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
+by ``_encode`` into one list of pieces.  With an indent, ``json.dumps``
+runs the stdlib's pure-Python encoder; here scalars and flat lists of
+numbers, booleans and nulls go through its C encoder instead, each flat
+list re-indented by one replace, so a plan's thousands of waypoints cost
+one C call each.
+
+Exit codes: 0 success; 1 verification failure (``verify``,
+``validate``) or a planner invariant violation, reported as ``error:``
+on stderr; 2 malformed input, or an ``--output`` file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import math
 import random
 import sys
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import graph as graph_mod
@@ -80,7 +90,7 @@ def _weight_arg(text: str, n: int | None) -> Weight:
 
 
 def _check_args(args, cmd: _Command) -> None:
-    """Validate --n and --p and parse the required weights in place, so
+    """Validate --n and --p and parse the given weights in place, so
     every handler receives checked values."""
     if cmd.needs_n:
         if args.n is None:
@@ -100,12 +110,81 @@ def _check_args(args, cmd: _Command) -> None:
     if "fromto" in cmd.options:
         args.src = _weight_arg(args.src, args.n)
         args.tgt = _weight_arg(args.tgt, args.n)
+    elif "from" in cmd.options and args.src is not None:
+        args.src = _weight_arg(args.src, args.n)
+
+
+_compact = json.JSONEncoder(check_circular=False).encode
+_SCALARS = (str, int, float, type(None))  # bool is an int
+# The stdlib's own encodings of the commonest dict values, without the
+# encoder set-up that _compact makes on every call.
+_FAST = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return '"' + _compact(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(obj, indent: str, append) -> None:
+    """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
+    ``indent`` (a newline and the spaces of the enclosing level).  A
+    flat list of numbers, booleans and nulls is one C-encoded string,
+    re-indented by one replace: its compact text holds ", " only between
+    items as long as it holds no string and no container."""
+    if isinstance(obj, _SCALARS):
+        append(_compact(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            append("[]")
+            return
+        inner = indent + "  "
+        if not isinstance(obj[0], (str, list, tuple, dict)):
+            try:
+                text = _compact(obj)
+            except TypeError:  # an object for to_json_dict
+                text = '"'
+            if '"' not in text and "[" not in text[1:] and "{" not in text:
+                append("[" + inner + text[1:-1].replace(", ", "," + inner) + indent + "]")
+                return
+        sep = "[" + inner
+        for item in obj:
+            append(sep)
+            _encode(item, inner, append)
+            sep = "," + inner
+        append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            head = sep + _key(key) + ": "
+            fast = _FAST.get(type(value))
+            if fast is not None:
+                append(head + fast(value))
+            else:
+                append(head)
+                _encode(value, inner, append)
+            sep = "," + inner
+        append(indent + "}")
+    else:
+        _encode(obj.to_json_dict(), indent, append)
 
 
 def _json(payload) -> str:
-    """Moves, plans and graphs in the payload render through their
-    to_json_dict, only when JSON is asked for."""
-    return json.dumps(payload, indent=2, default=lambda obj: obj.to_json_dict()) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte; moves,
+    plans and graphs in the payload render through their to_json_dict,
+    only when JSON is asked for."""
+    pieces: list[str] = []
+    _encode(payload, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------- commands
@@ -258,11 +337,10 @@ def _cmd_bfs(args):
         return None, {"csv": lambda: distance_matrix_csv(g)}, 0
     if args.src is None:
         raise ValueError("bfs needs --from (or --format csv for the full matrix)")
-    src = _weight_arg(args.src, args.n)
-    dist = bfs_distances(g, src)
+    dist = bfs_distances(g, args.src)
     rows = list(zip(g.vertices, dist))
     distances = [{"weight": w, "distance": d} for w, d in rows]
-    payload = {"n": args.n, "p": args.p, "source": src, "distances": distances}
+    payload = {"n": args.n, "p": args.p, "source": args.src, "distances": distances}
     return payload, {"text": lambda: "".join(
         f"{format_weight(w)} {'inf' if d is None else d}\n" for w, d in rows
     )}, 0

@@ -1,11 +1,17 @@
+import gc
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modmckay import cli
 from modmckay import graph as graph_mod
 from modmckay.cli import main
-from modmckay.planner import InvariantViolationError
+from modmckay.moves import Move
+from modmckay.planner import InvariantViolationError, plan_path
+from modmckay.weights import steinberg_weight
 
 
 def run(capsys, *argv):
@@ -235,3 +241,71 @@ class TestOutputHandling:
         _, second, _ = run(capsys, "graph", "--n", "3", "--p", "3", "--format", "json")
         assert first == second
 
+
+def _dumps(obj) -> str:
+    """The oracle: the stdlib's pure-Python indent encoder."""
+    return json.dumps(obj, indent=2, default=lambda o: o.to_json_dict()) + "\n"
+
+
+# Strings that would break a naive re-indent of the compact C encoding.
+_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(
+        [", ", '"', "[", "{", "]", "}", "\n", "\\", "\u00e9", "\u2603", "\U0001f600", "a"]
+    )).map("".join),
+)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
+_OBJECTS = st.sampled_from([
+    Move("add_first"),
+    Move("clear_forward", 2),
+    Move("clear_last"),
+    plan_path((0, 0), (2, 2), 3),
+    plan_path((1,), (1,), 2),
+    graph_mod.build_certified_graph(3, 2),
+])
+_KEYS = st.one_of(_TEXT, st.integers(), _FLOATS, st.booleans(), st.none())
+_LEAVES = st.one_of(
+    _SCALARS,
+    _OBJECTS,
+    st.lists(st.one_of(st.integers(), st.booleans(), st.none())),  # flat lists
+    st.lists(st.integers()).map(tuple),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json(payload) == _dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        [], {}, (), [[]], [{}], {"": []}, [1, [2]], [1, "a, b"], [1, Move("add_first")],
+        [0.5, math.nan, -math.inf, True, None], {1: 1, 2.5: 2, True: 3, None: 4},
+    ])
+    def test_edge_cases_match_json_dumps(self, payload):
+        assert cli._json(payload) == _dumps(payload)
+
+    def test_bad_key_is_type_error(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._json({(1, 2): 0})
+
+    def test_rendering_leaves_no_garbage_cycles(self):
+        plan = plan_path((0,) * 19, steinberg_weight(20, 7), 7)
+        gc.collect()
+        gc.disable()
+        try:
+            text = cli._json(plan)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert text == _dumps(plan)

@@ -103,6 +103,8 @@ GOLDEN = [
     ('bfs --n 3 --p 3', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: bfs needs --from (or --format csv for the full matrix)\n'),
     ('bfs --n 3 --p 3 --from 1 --format json', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: --n 3 expects 2 entries, got weight '1'\n"),
     ('bfs --n 3 --p 3 --from 5,5', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: (5, 5) is not a vertex of this graph\n'),
+    ('bfs --n 2 --p 3 --format csv --from x', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: not a comma-separated integer list: 'x'\n"),
+    ('bfs --n 3 --p 3 --from 1 --format csv', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: --n 3 expects 2 entries, got weight '1'\n"),
 ]
 
 # Calls that argparse itself refuses, before any handler runs.

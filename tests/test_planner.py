@@ -2,11 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modmckay import planner
 from modmckay.graph import all_pairs_distances, build_certified_graph
 from modmckay.moves import (
     Move,
+    apply_move,
     first_nonzero_position,
     move_add_first,
     move_clear_forward,
@@ -24,7 +27,7 @@ from modmckay.planner import (
     plan_path,
     s_mu,
 )
-from modmckay.weights import steinberg_weight
+from modmckay.weights import f_value, steinberg_weight
 
 
 def all_restricted(n, p):
@@ -218,6 +221,41 @@ class TestPlanPath:
             plan_path((3, 0), (0, 0), 3)
         with pytest.raises(ValueError):
             plan_path((0, 0), (1, 1, 1), 2)
+
+
+@st.composite
+def weight_pairs(draw, max_n=12):
+    """(source, target, p): two p-restricted weights of one rank n <= max_n."""
+    n = draw(st.integers(2, max_n))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    weight = st.tuples(*[st.integers(0, p - 1)] * (n - 1))
+    return draw(weight), draw(weight), p
+
+
+class TestPlanProperties:
+    """plan_path beyond the exhaustive range: n up to 12, where p^(n-1)
+    reaches 7^11 vertices and no BFS can check the plan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(weight_pairs())
+    def test_plan_replays_within_bounds(self, case):
+        lam, mu, p = case
+        plan = plan_path(lam, mu, p)
+        n = len(lam) + 1
+        assert plan.waypoints[0] == lam and len(plan.waypoints) == plan.length + 1
+        w = lam
+        for move, nxt in zip(plan.moves, plan.waypoints[1:]):
+            validate_move(w, nxt, p)  # a certified edge ...
+            assert apply_move(w, move, p) == nxt  # ... carrying this label
+            w = nxt
+        assert w == mu
+        assert f_value(mu) - f_value(lam) <= plan.length <= length_bound(n, p)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 12), st.sampled_from([2, 3, 5, 7]))
+    def test_zero_to_steinberg_meets_the_bound(self, n, p):
+        plan = plan_path((0,) * (n - 1), steinberg_weight(n, p), p)
+        assert plan.length == length_bound(n, p)
 
 
 class TestPathPlanSerialization:
