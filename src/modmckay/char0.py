@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .weights import Weight, check_weight, f_value, steinberg_weight
+from .weights import Weight, _f, check_weight, steinberg_weight
 
 _A = "a"
 _C = "c"
@@ -32,7 +32,11 @@ def lr_neighbors(w: Weight) -> set[tuple[str, Weight]]:
     """All (kind, weight) pairs reachable from ``w`` by tensoring with the
     standard module in characteristic 0.  Kinds are "a", "b(i)", "c";
     candidates that would leave the dominant cone are excluded."""
-    check_weight(w)
+    return _neighbors(check_weight(w))
+
+
+def _neighbors(w: Weight) -> set[tuple[str, Weight]]:
+    """lr_neighbors of a weight the caller has validated."""
     n = len(w) + 1
     out: set[tuple[str, Weight]] = set()
     out.add((_A, (w[0] + 1,) + w[1:]))
@@ -92,10 +96,12 @@ def char0_distance(src: Weight, tgt: Weight, budget: int) -> int | None:
     if src == tgt:
         return 0
 
-    f_tgt = f_value(tgt)
+    # Both ends are checked above; every node the search reaches from src
+    # is a dominant weight, so it is expanded and scored unchecked.
+    f_tgt = _f(tgt)
 
     def h(w: Weight) -> int:
-        return max(0, f_tgt - f_value(w))
+        return max(0, f_tgt - _f(w))
 
     def search(threshold: int):
         """One depth-first pass bounded by ``threshold``, visiting
@@ -117,7 +123,7 @@ def char0_distance(src: Weight, tgt: Weight, budget: int) -> int | None:
                 continue
             best_seen[w] = depth
             # Reversed, so the smallest neighbour is popped, and explored, first.
-            stack += [(nb, depth + 1) for _, nb in sorted(lr_neighbors(w), reverse=True)]
+            stack += [(nb, depth + 1) for _, nb in sorted(_neighbors(w), reverse=True)]
         return None, next_threshold
 
     threshold = h(src)

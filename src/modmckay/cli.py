@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import graph as graph_mod
 from .char0 import canonical_path_char0, char0_distance, lr_neighbors
-from .conormal import addable_indices, block_form, conormal_indices, removable_indices
+from .conormal import _rows, addable_indices, conormal_indices, removable_indices
 from .graph import (
     BudgetExceededError,
     bfs_distances,
@@ -47,7 +47,13 @@ from .graph import (
     distance_matrix_csv,
     subgraph_diameter,
 )
-from .moves import NoSuchEdgeError, certified_moves, certify_via_conormal, validate_move
+from .moves import (
+    NoSuchEdgeError,
+    _certify,
+    certified_moves,
+    first_nonzero_position,
+    validate_move,
+)
 from .planner import InvariantViolationError, length_bound, plan_path
 from .weights import (
     Weight,
@@ -401,14 +407,11 @@ def run_verification(n: int, p: int, budget: int) -> tuple[list[tuple[str, bool]
     checks.append(
         ("out-degree is 1 or 2", all(len(adj) in (1, 2) for adj in g.adjacency))
     )
+    fs = [f_value(w) for w in g.vertices]
     checks.append(
         (
             "f-law f(head) <= f(tail)+1 on every edge",
-            all(
-                f_value(g.vertices[j]) <= f_value(w) + 1
-                for w, adj in zip(g.vertices, g.adjacency)
-                for _, j in adj
-            ),
+            all(fs[j] <= fs[i] + 1 for i, adj in enumerate(g.adjacency) for _, j in adj),
         )
     )
 
@@ -443,16 +446,16 @@ def run_verification(n: int, p: int, budget: int) -> tuple[list[tuple[str, bool]
 
     conormal_ok = True
     certify_ok = True
-    for w in g.vertices:
+    # One partition and one conormal set per vertex serve both checks.  The
+    # clearing row 1 + a_1 is 1 + the first nonzero position.
+    for w, adj in zip(g.vertices, g.adjacency):
         parts = weight_to_partition(w)
-        con = conormal_indices(parts, p)
-        if 1 not in con:
+        con = _rows(parts, p)[2]
+        s = first_nonzero_position(w)
+        if 1 not in con or (s is not None and 1 + s not in con):
             conormal_ok = False
-        if any(w) and 1 + block_form(parts)[0][1] not in con:
-            conormal_ok = False
-        for move, _ in certified_moves(w, p):
-            if not certify_via_conormal(w, move, p):
-                certify_ok = False
+        if not all(_certify(w, move, p, parts, con) for move, _ in adj):
+            certify_ok = False
     checks.append(("index 1 and 1+a_1 conormal at every vertex", conormal_ok))
     checks.append(("every certified move certified via conormal", certify_ok))
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -224,26 +223,6 @@ def neighbors_to_dot(w: Weight, neighbors: set[tuple[str, Weight]]) -> str:
     center = format_weight(w)
     edges = [(center, format_weight(nb), kind) for kind, nb in sorted(neighbors)]
     return _dot("neighbors", [center] + [nb for _, nb, _ in edges], edges)
-
-
-def graph_to_json(g: CertifiedGraph) -> str:
-    """Deterministic JSON rendering; graph_from_json inverts it."""
-    return json.dumps(g.to_json_dict(), indent=2) + "\n"
-
-
-def graph_from_json(text: str) -> CertifiedGraph:
-    """Rebuild a CertifiedGraph from its JSON rendering."""
-    payload = json.loads(text)
-    vertices = tuple(tuple(w) for w in payload["vertices"])
-    adj: list[list[tuple[Move, int]]] = [[] for _ in vertices]
-    for edge in payload["edges"]:
-        adj[edge["from"]].append((Move.from_json_dict(edge["move"]), edge["to"]))
-    return CertifiedGraph(
-        n=payload["n"],
-        p=payload["p"],
-        vertices=vertices,
-        adjacency=tuple(tuple(row) for row in adj),
-    )
 
 
 def distance_matrix_csv(g: CertifiedGraph) -> str:

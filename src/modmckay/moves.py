@@ -24,15 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .conormal import block_form, conormal_indices
+from .conormal import _bump, _rows
 from .weights import (
+    Partition,
     Weight,
+    _partition,
+    _weight,
     check_weight,
-    is_p_restricted,
-    p_adic_decompose,
-    partition_to_weight,
     require_restricted,
-    weight_to_partition,
 )
 
 ADD_FIRST = "add_first"
@@ -75,10 +74,6 @@ class Move:
         if self.s is not None:
             out["s"] = self.s
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Move":
-        return cls(kind=data["kind"], s=data.get("s"))
 
 
 def first_nonzero_position(w: Weight) -> int | None:
@@ -185,15 +180,6 @@ def validate_move(lam: Weight, mu: Weight, p: int) -> Move:
     raise NoSuchEdgeError(f"no certified edge {lam} -> {mu} for p={p}")
 
 
-def _conormal_index_for(lam: Weight, move: Move) -> int:
-    """Row of the attached partition whose box-addition realizes ``move``:
-    1 for add_first, 1 + a_1 for the clearing moves (a_1 = size of the
-    partition's first constant block)."""
-    if move.kind == ADD_FIRST:
-        return 1
-    return 1 + block_form(weight_to_partition(lam))[0][1]
-
-
 def certify_via_conormal(lam: Weight, move: Move, p: int) -> bool:
     """Independently certify a move through the conormal-index criterion.
 
@@ -204,19 +190,22 @@ def certify_via_conormal(lam: Weight, move: Move, p: int) -> bool:
     entry bumped to p splits off one Frobenius-twisted standard factor).
     """
     require_restricted(lam, p)
+    parts = _partition(lam)
+    return _certify(lam, move, p, parts, _rows(parts, p)[2])
+
+
+def _certify(
+    lam: Weight, move: Move, p: int, parts: Partition, con: list[int]
+) -> bool:
+    """certify_via_conormal for a p-restricted ``lam`` whose partition
+    ``parts`` and conormal rows ``con`` the caller has computed.  The
+    responsible row is 1 for add_first and 1 + a_1 for the clearing moves,
+    where a_1, the size of the partition's first constant block, is the
+    position of the first nonzero entry."""
     mu = _step(lam, move, p)
-    parts = weight_to_partition(lam)
-    i = _conormal_index_for(lam, move)
-    if i not in conormal_indices(parts, p):
+    i = 1 if move.kind == ADD_FIRST else 1 + first_nonzero_position(lam)
+    if i not in con:
         return False
-    bumped = tuple(x + (1 if j == i else 0) for j, x in enumerate(parts, start=1))
-    mu_prime = partition_to_weight(bumped)
-    digits = p_adic_decompose(mu_prime, p)
-    if is_p_restricted(mu_prime, p):
-        return mu == mu_prime
-    if len(digits) != 2:
-        return False
-    base, twist = digits
-    if sum(twist) != 1:
-        return False
-    return mu == tuple(a + b for a, b in zip(base, twist))
+    # lam is p-restricted, so only the bumped entry can reach p, and then
+    # its base-p digits are [nu, e_k]: the witness nu + e_k is m % p + m // p.
+    return mu == tuple(m % p + m // p for m in _weight(_bump(parts, i)))

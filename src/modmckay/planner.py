@@ -43,7 +43,7 @@ from .moves import (
     first_nonzero_position,
     validate_move,
 )
-from .weights import Weight, require_restricted, steinberg_weight
+from .weights import Weight, require_restricted
 
 
 class InvariantViolationError(AssertionError):
@@ -58,13 +58,13 @@ def length_bound(n: int, p: int) -> int:
 def ell(mu: Weight, p: int) -> int:
     """0 for the Steinberg weight, n for zero, else the largest position
     whose entry is < p-1."""
-    require_restricted(mu, p)
-    n = len(mu) + 1
-    if mu == steinberg_weight(n, p):
-        return 0
+    return _ell(require_restricted(mu, p), p)
+
+
+def _ell(mu: Weight, p: int) -> int:
     if not any(mu):
-        return n
-    return max(x for x in range(1, n) if mu[x - 1] < p - 1)
+        return len(mu) + 1
+    return max((x for x, m in enumerate(mu, start=1) if m < p - 1), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -86,8 +86,12 @@ def s_mu(mu: Weight, p: int) -> int:
     none.  A weight with no such position must lie on the canonical path
     (it is all zeros, then one entry, then p-1s); if not, something is
     inconsistent and we refuse to guess."""
+    return _s_mu(require_restricted(mu, p), p)
+
+
+def _s_mu(mu: Weight, p: int) -> int:
     n = len(mu) + 1
-    l = ell(mu, p)
+    l = _ell(mu, p)
     below = [x for x in range(1, min(l, n)) if mu[x - 1] > 0]
     if below:
         return max(below)
@@ -101,14 +105,16 @@ def s_mu(mu: Weight, p: int) -> int:
 def capital_M_of(mu: Weight, p: int) -> Weight:
     """The canonical waypoint attached to mu: mu itself if canonical, else
     zeros with a 1 at s_mu, mu's entry at ell(mu), and p-1 afterwards."""
-    require_restricted(mu, p)
+    return _capital_M(require_restricted(mu, p), p)
+
+
+def _capital_M(mu: Weight, p: int) -> Weight:
     n = len(mu) + 1
     if mu in canonical_set(n, p):
         return mu
-    l = ell(mu, p)
-    s = s_mu(mu, p)
+    l = _ell(mu, p)
     out = [0] * (n - 1)
-    out[s - 1] = 1
+    out[_s_mu(mu, p) - 1] = 1
     out[l - 1] = mu[l - 1]
     for x in range(l + 1, n):
         out[x - 1] = p - 1
@@ -135,11 +141,13 @@ def path_from_M(mu: Weight, p: int) -> list[Move]:
     s_mu from its seed 1 to mu's value, then carry single 1s into each
     lower position the required number of times.
     """
-    require_restricted(mu, p)
-    n = len(mu) + 1
-    if mu in canonical_set(n, p):
+    return _path_from_M(require_restricted(mu, p), p)
+
+
+def _path_from_M(mu: Weight, p: int) -> list[Move]:
+    if mu in canonical_set(len(mu) + 1, p):
         return []
-    s = s_mu(mu, p)
+    s = _s_mu(mu, p)
     moves: list[Move] = []
     for _ in range(mu[s - 1] - 1):
         moves += _travel(s)
@@ -180,17 +188,6 @@ class PathPlan:
             "moves": [m.to_json_dict() for m in self.moves],
             "waypoints": [list(w) for w in self.waypoints],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PathPlan":
-        return cls(
-            n=data["n"],
-            p=data["p"],
-            source=tuple(data["source"]),
-            target=tuple(data["target"]),
-            moves=tuple(Move.from_json_dict(m) for m in data["moves"]),
-            waypoints=tuple(tuple(w) for w in data["waypoints"]),
-        )
 
 
 class _Builder:
@@ -256,10 +253,10 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
         pass
     elif lam == zero:
         # Ride the canonical path to M(mu), then fill.
-        target = capital_M_of(mu, p)
+        target = _capital_M(mu, p)
         idx = canonical_path_char0(n, p).index(target)
         b.extend(_canonical_moves(n, p)[:idx])
-        b.extend(path_from_M(mu, p))
+        b.extend(_path_from_M(mu, p))
     elif mu == zero:
         # Not covered by the ell-comparison cases (mu's entry at ell(mu)=n
         # is out of range): normalize the running sum to 1, flush it to
@@ -270,8 +267,8 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
             raise InvariantViolationError(f"flush before clear_last left {b.cur}")
         b.emit(_CLEAR_LAST_MOVE)
     else:
-        l_lam, l_mu = ell(lam, p), ell(mu, p)
-        s = s_mu(mu, p)
+        l_lam, l_mu = _ell(lam, p), _ell(mu, p)
+        s = _s_mu(mu, p)
         if l_lam > l_mu:
             # Zero out everything below ell(lam) (the congruence makes the
             # swept entry land on p-1 or stay 0), then top up positions
@@ -285,7 +282,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
                 b.fill(l_mu, mu[l_mu - 1])
             if s >= 1:
                 b.extend(_travel(s))
-            b.extend(path_from_M(mu, p))
+            b.extend(_path_from_M(mu, p))
         elif mu[l_mu - 1] != 0:
             # ell(lam) <= ell(mu): sweeping below ell(mu) deposits exactly
             # mu's entry there thanks to the congruence target.
@@ -298,7 +295,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
                 )
             if s >= 1:
                 b.extend(_travel(s))
-            b.extend(path_from_M(mu, p))
+            b.extend(_path_from_M(mu, p))
         elif l_mu == n - 1:
             # Target entry 0 at the last position: flush the sum to a 1
             # there, clear it off the end, then seed the 1 at s_mu.
@@ -309,7 +306,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
             b.emit(_CLEAR_LAST_MOVE)
             if s >= 1:
                 b.extend(_travel(s))
-            b.extend(path_from_M(mu, p))
+            b.extend(_path_from_M(mu, p))
         else:
             # Target entry 0 strictly inside: sweep leaves 0 or p-1 at
             # ell(mu); a p-1 is recycled into the (already p-1) entry
@@ -325,7 +322,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
                 )
             if s >= 1:
                 b.extend(_travel(s))
-            b.extend(path_from_M(mu, p))
+            b.extend(_path_from_M(mu, p))
 
     return _finish(b, n, p, lam, mu)
 

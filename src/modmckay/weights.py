@@ -19,6 +19,8 @@ Everything here is pure and operates on immutable tuples.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 Weight = tuple[int, ...]
 Partition = tuple[int, ...]
 
@@ -57,27 +59,6 @@ def format_weight(w: Weight) -> str:
     return ",".join(str(m) for m in w)
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse the serialized form ``"4,2,0"`` into a partition tuple."""
-    try:
-        parts = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"not a comma-separated integer list: {text!r}") from None
-    return check_partition(parts)
-
-
-def cartan_matrix(n: int) -> list[list[int]]:
-    """The (n-1)x(n-1) Cartan matrix of type A_{n-1}: 2 on the diagonal,
-    -1 on the off-diagonals."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    size = n - 1
-    return [
-        [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(size)]
-        for i in range(size)
-    ]
-
-
 def _scaled_coeffs(entries: tuple[int, ...]) -> tuple[int, ...]:
     """n * (root coefficients) of an arbitrary integer vector of weight
     coordinates; entries may be negative (used for weight differences).
@@ -114,7 +95,12 @@ def f_value(w: Weight) -> int:
     """The edge potential: n times the coefficient of the last simple root,
     which works out to sum_i i*m_i.  Increases by at most 1 along any
     McKay-graph edge."""
-    return sum(i * m for i, m in enumerate(check_weight(w), start=1))
+    return _f(check_weight(w))
+
+
+def _f(w: Weight) -> int:
+    """f_value of a weight the caller has validated."""
+    return sum(i * m for i, m in enumerate(w, start=1))
 
 
 def s_sum(w: Weight) -> int:
@@ -137,21 +123,24 @@ def is_subdominant(nu: Weight, lam: Weight) -> bool:
 def weight_to_partition(w: Weight) -> Partition:
     """The length-n partition attached to a weight: part_i = sum_{j>=i} m_j,
     so consecutive differences recover the weight and the last part is 0."""
-    check_weight(w)
-    parts = [0] * (len(w) + 1)
-    running = 0
-    for i in range(len(w), 0, -1):
-        running += w[i - 1]
-        parts[i - 1] = running
-    return tuple(parts)
+    return _partition(check_weight(w))
+
+
+def _partition(w: Weight) -> Partition:
+    """weight_to_partition of a weight the caller has validated."""
+    return tuple(accumulate(w[::-1]))[::-1] + (0,)
 
 
 def partition_to_weight(parts: Partition) -> Weight:
     """Consecutive differences of a weakly decreasing tuple.  The last
     part need not be 0; subtracting it from every part (the GL -> SL
     renormalization) does not change the result."""
-    check_partition(parts)
-    return tuple(parts[i] - parts[i + 1] for i in range(len(parts) - 1))
+    return _weight(check_partition(parts))
+
+
+def _weight(parts: Partition) -> Weight:
+    """partition_to_weight of a partition the caller has validated."""
+    return tuple(a - b for a, b in zip(parts, parts[1:]))
 
 
 def is_p_restricted(w: Weight, p: int) -> bool:

@@ -10,17 +10,11 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from modmckay.char0 import canonical_path_char0, char0_distance, lr_neighbors
-from modmckay.conormal import (
-    _residue_sets,
-    addable_indices,
-    block_form,
-    conormal_indices,
-)
+from modmckay.conormal import addable_indices, block_form, conormal_indices
 from modmckay.graph import all_pairs_distances, build_certified_graph
 from modmckay.moves import certified_moves, certify_via_conormal, validate_move
 from modmckay.planner import length_bound, plan_path
 from modmckay.weights import (
-    cartan_matrix,
     f_value,
     is_p_restricted,
     p_adic_decompose,
@@ -30,6 +24,8 @@ from modmckay.weights import (
     to_scaled_root_coeffs,
     weight_to_partition,
 )
+from conormal_oracle import _residue_sets
+from weights_oracle import cartan_matrix
 
 DIAMETER_TABLE = {
     (2, 2): 1,

@@ -1,8 +1,12 @@
 import random
 from itertools import permutations, product
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import conormal_oracle as oracle
 from modmckay.conormal import (
-    _residue_sets,
     addable_indices,
     bk_children,
     block_form,
@@ -75,14 +79,18 @@ class TestConormal:
             assert 1 in conormal_indices(parts, p)
 
     def test_greedy_matches_exhaustive_oracle(self):
+        # The single-pass kernel and the oracle's greedy matching both agree
+        # with a brute-force search over injections, row by row.
         rng = random.Random(303)
         for _ in range(2000):
             parts = random_partition(rng, rng.randrange(2, 7))
             p = rng.choice([2, 3, 5])
             con = conormal_indices(parts, p)
             for i in sorted(addable_indices(parts)):
-                removers, adders = _residue_sets(parts, i, p)
-                assert (i in con) == exhaustive_injection_exists(removers, adders)
+                removers, adders = oracle._residue_sets(parts, i, p)
+                exists = exhaustive_injection_exists(removers, adders)
+                assert oracle._greedy_injection_exists(removers, adders) == exists
+                assert (i in con) == exists
 
     def test_one_plus_a1_conormal_for_restricted_weights(self):
         # holds because the first two block values differ by an entry in
@@ -123,3 +131,36 @@ class TestBlockForm:
             parts = random_partition(rng, rng.randrange(2, 8))
             rebuilt = tuple(v for v, mult in block_form(parts) for _ in range(mult))
             assert rebuilt == parts
+
+
+def assert_matches_oracle(parts, p):
+    assert addable_indices(parts) == oracle.addable_indices(parts)
+    assert removable_indices(parts) == oracle.removable_indices(parts)
+    assert conormal_indices(parts, p) == oracle.conormal_indices(parts, p)
+    assert bk_children(parts, p) == oracle.bk_children(parts, p)
+    assert block_form(parts) == oracle.block_form(parts)
+
+
+# Weakly decreasing tuples of 2..10 parts, as suffix sums of their gaps.
+# Gaps up to 12 make most of them partitions of weights that are not
+# p-restricted, and the last part is nonzero whenever the last gap is.
+partitions = st.lists(st.integers(0, 12), min_size=2, max_size=10).map(
+    lambda gaps: tuple(sum(gaps[i:]) for i in range(len(gaps)))
+)
+
+
+class TestAgainstOracle:
+    """The single-pass kernel against the previous implementation, kept
+    in tests/conormal_oracle.py."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(partitions, st.sampled_from([2, 3, 5, 7]))
+    @example((9, 9, 2, 0), 3)  # weight (0, 7, 2): not 3-restricted
+    @example((12, 7, 7, 5), 2)  # nonzero last part
+    def test_random_partitions(self, parts, p):
+        assert_matches_oracle(parts, p)
+
+    @pytest.mark.parametrize("n, p", [(4, 5), (6, 3)])
+    def test_every_vertex(self, n, p):
+        for w in product(range(p), repeat=n - 1):
+            assert_matches_oracle(weight_to_partition(w), p)

@@ -10,9 +10,7 @@ from modmckay.graph import (
     build_certified_graph,
     distance_matrix_csv,
     enumerate_p_restricted,
-    graph_from_json,
     graph_to_dot,
-    graph_to_json,
     neighbors_to_dot,
     plan_to_dot,
     subgraph_diameter,
@@ -190,13 +188,6 @@ class TestExports:
         assert '"1" -> "1" [label="add_first"];' in dot
         assert '"1" -> "0" [label="clear_last"];' in dot
         assert dot == graph_to_dot(g)  # deterministic
-
-    def test_graph_json_roundtrip(self):
-        g = build_certified_graph(3, 2)
-        again = graph_from_json(graph_to_json(g))
-        assert again.n == g.n and again.p == g.p
-        assert again.vertices == g.vertices
-        assert again.adjacency == g.adjacency
 
     def test_empty_plan_dot_has_isolated_node(self):
         plan = plan_path((1, 0), (1, 0), 2)

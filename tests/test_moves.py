@@ -2,6 +2,14 @@ from itertools import product
 
 import pytest
 
+from modmckay.char0 import char0_distance, lr_neighbors
+from modmckay.conormal import (
+    addable_indices,
+    bk_children,
+    block_form,
+    conormal_indices,
+    removable_indices,
+)
 from modmckay.moves import (
     Move,
     NoSuchEdgeError,
@@ -15,8 +23,13 @@ from modmckay.moves import (
     move_clear_last,
     validate_move,
 )
-from modmckay.planner import capital_M_of, path_from_M
-from modmckay.weights import f_value, is_p_restricted
+from modmckay.planner import capital_M_of, ell, path_from_M, s_mu
+from modmckay.weights import (
+    f_value,
+    is_p_restricted,
+    partition_to_weight,
+    weight_to_partition,
+)
 
 SMALL_INSTANCES = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
 
@@ -30,8 +43,6 @@ class TestMoveType:
         assert str(Move("add_first")) == "add_first"
         assert str(Move("clear_forward", 2)) == "clear_forward(2)"
         assert Move("clear_last").to_json_dict() == {"kind": "clear_last"}
-        m = Move("clear_forward", 3)
-        assert Move.from_json_dict(m.to_json_dict()) == m
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -189,6 +200,8 @@ _CHECKED_AT_BOUNDARY = {
     "certify_via_conormal": lambda w: certify_via_conormal(w, Move("add_first"), 3),
     "capital_M_of": lambda w: capital_M_of(w, 3),
     "path_from_M": lambda w: path_from_M(w, 3),
+    "ell": lambda w: ell(w, 3),
+    "s_mu": lambda w: s_mu(w, 3),
 }
 
 
@@ -199,6 +212,49 @@ _CHECKED_AT_BOUNDARY = {
 def test_public_functions_reject_bad_weights(call, bad):
     # Exactly ValueError: the boundary check fires, not a NotApplicableError
     # from the trusting kernel behind it.
+    with pytest.raises(ValueError) as excinfo:
+        call(bad)
+    assert excinfo.type is ValueError
+
+
+# Public names that take any dominant weight, or a partition, and check it
+# once before handing it to a trusting kernel.
+_WEIGHT_CHECKED_AT_BOUNDARY = {
+    "f_value": f_value,
+    "weight_to_partition": weight_to_partition,
+    "lr_neighbors": lr_neighbors,
+    "char0_distance_source": lambda w: char0_distance(w, (1, 0), 3),
+    "char0_distance_target": lambda w: char0_distance((1, 0), w, 3),
+}
+_PARTITION_CHECKED_AT_BOUNDARY = {
+    "conormal_indices": lambda parts: conormal_indices(parts, 3),
+    "addable_indices": addable_indices,
+    "removable_indices": removable_indices,
+    "bk_children": lambda parts: bk_children(parts, 3),
+    "block_form": block_form,
+    "partition_to_weight": partition_to_weight,
+}
+
+
+@pytest.mark.parametrize(
+    "call",
+    list(_WEIGHT_CHECKED_AT_BOUNDARY.values()),
+    ids=list(_WEIGHT_CHECKED_AT_BOUNDARY),
+)
+@pytest.mark.parametrize("bad", [(-1, 0), (2, -1)], ids=["negative", "negative_last"])
+def test_public_functions_reject_negative_weights(call, bad):
+    with pytest.raises(ValueError) as excinfo:
+        call(bad)
+    assert excinfo.type is ValueError
+
+
+@pytest.mark.parametrize(
+    "call",
+    list(_PARTITION_CHECKED_AT_BOUNDARY.values()),
+    ids=list(_PARTITION_CHECKED_AT_BOUNDARY),
+)
+@pytest.mark.parametrize("bad", [(1, 2, 0), (2, 1, -1)], ids=["increasing", "negative"])
+def test_public_functions_reject_bad_partitions(call, bad):
     with pytest.raises(ValueError) as excinfo:
         call(bad)
     assert excinfo.type is ValueError

@@ -17,7 +17,6 @@ from modmckay.moves import (
 )
 from modmckay.planner import (
     InvariantViolationError,
-    PathPlan,
     canonical_set,
     capital_M_of,
     ell,
@@ -259,11 +258,6 @@ class TestPlanProperties:
 
 
 class TestPathPlanSerialization:
-    def test_json_roundtrip(self):
-        plan = plan_path((0, 0), (2, 2), 3)
-        again = PathPlan.from_json_dict(plan.to_json_dict())
-        assert again == plan
-
     def test_json_shape(self):
         payload = plan_path((0,), (1,), 2).to_json_dict()
         assert payload["length"] == 1
