@@ -314,10 +314,7 @@ def _cmd_plan(args):
             f"source {format_weight(plan.source)}\n"
             f"target {format_weight(plan.target)}\n"
             f"length {plan.length}\n"
-        ) + "".join(
-            f"{move} -> {format_weight(w)}\n"
-            for move, w in zip(plan.moves, plan.waypoints[1:])
-        )
+        ) + "".join(f"{move} -> {format_weight(w)}\n" for move, w in plan._walk())
 
     return plan, {
         "text": text,
@@ -370,7 +367,7 @@ def _cmd_diameter(args):
 @_command("verify", "run the acceptance checks for (n, p)", "p", "vertex-budget",
           formats=("text", "json"), needs_n=True)
 def _cmd_verify(args):
-    lines, ok = run_verification(args.n, args.p, args.budget)
+    scope, lines, ok = run_verification(args.n, args.p, args.budget)
     payload = {
         "n": args.n,
         "p": args.p,
@@ -380,7 +377,7 @@ def _cmd_verify(args):
 
     def text() -> str:
         width = max(len(name) for name, _ in lines)
-        out = "".join(
+        out = f"verify n={args.n} p={args.p}: {scope}\n" + "".join(
             f"{'PASS' if good else 'FAIL'}  {name.ljust(width)}\n"
             for name, good in lines
         )
@@ -389,8 +386,9 @@ def _cmd_verify(args):
     return payload, {"text": text}, 0 if ok else 1
 
 
-def run_verification(n: int, p: int, budget: int) -> tuple[list[tuple[str, bool]], bool]:
-    """The acceptance checks for a single (n, p), as (name, ok) pairs.
+def run_verification(n: int, p: int, budget: int) -> tuple[str, list[tuple[str, bool]], bool]:
+    """What was checked, the acceptance checks for a single (n, p) as
+    (name, ok) pairs, and whether all of them passed.
 
     The verification scope is the certified subgraph: its edges are a
     subset of the true McKay graph's, and the extremal distance from zero
@@ -425,12 +423,16 @@ def run_verification(n: int, p: int, budget: int) -> tuple[list[tuple[str, bool]
 
     if len(g.vertices) <= 256:
         pairs = [(a, b) for a in g.vertices for b in g.vertices]
+        sample = f"all {len(pairs)} ordered pairs"
     else:
-        rng = random.Random(20260811)
+        seed = 20260811
+        rng = random.Random(seed)
         pairs = [
             (rng.choice(g.vertices), rng.choice(g.vertices)) for _ in range(300)
         ]
         pairs += [(zero, st)]
+        sample = f"300 sampled pairs (seed {seed}) plus (0,St)"
+    scope = f"{len(g.vertices)} vertices, planner checked on {sample}"
     # One BFS row per distinct source of the planned pairs, zero among them.
     rows = {a: bfs_distances(g, a) for a in dict.fromkeys(a for a, _ in pairs)}
     checks.append(("d(0,St) equals the bound", rows[zero][g.index_of(st)] == bound))
@@ -483,7 +485,7 @@ def run_verification(n: int, p: int, budget: int) -> tuple[list[tuple[str, bool]
             )
         )
 
-    return checks, all(ok for _, ok in checks)
+    return scope, checks, all(ok for _, ok in checks)
 
 
 # ----------------------------------------------------------------- parser

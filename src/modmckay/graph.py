@@ -212,9 +212,12 @@ def walk_to_dot(name: str, waypoints: Iterable[Weight], labels: Iterable[str]) -
 
 
 def plan_to_dot(plan: PathPlan) -> str:
-    """A plan as a DOT path labelled by its moves."""
-    labels = map(str, plan.moves)
-    return walk_to_dot(f"plan_n{plan.n}_p{plan.p}", plan.waypoints, labels)
+    """A plan as a DOT path labelled by its moves, expanded once."""
+    names, labels = [format_weight(plan.source)], []
+    for move, w in plan._walk():
+        names.append(format_weight(w))
+        labels.append(str(move))
+    return _dot(f"plan_n{plan.n}_p{plan.p}", names, list(zip(names, names[1:], labels)))
 
 
 def neighbors_to_dot(w: Weight, neighbors: set[tuple[str, Weight]]) -> str:

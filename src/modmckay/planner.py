@@ -13,13 +13,29 @@ zero-to-Steinberg path, and is driven by three statistics of the target:
 * M(mu):    mu itself when on the canonical path, otherwise the canonical
   weight with a 1 at s_mu, the entry mu_ell at ell(mu) and p-1 beyond.
 
-The source and target are validated once, at the public boundary.  Each
-emitted move is then checked exactly once, as it is applied, by finding it
-among the certified edges out of the current weight (either label of a
-parallel edge is accepted), and the finished walk must end at the target
-within the length bound.  A failed check raises InvariantViolationError
-rather than being silently repaired, since it can only mean a bug in the
-construction.
+The source and target are validated once, at the public boundary.  The
+walk is then recorded as run-length blocks ``(kind, at, k)``, and each
+block is certified once, in closed form, against the preconditions that
+stepping its k moves one by one would check (rep(x) is the
+representative of x mod p-1 in {1, ..., p-1}):
+
+* travel(x) x k, a 1 added at the front and carried to position x, k
+  times (add_first x k is travel(1) x k): needs zeros before x, sets
+  entry x to rep(old + k) and costs k*x moves;
+* clear_forward(s) x k: needs zeros before s, entry s >= k and s < n-1;
+  lowers entry s by k and sets entry s+1 to rep(old + k);
+* clear_last x k: needs zeros before n-1 and a last entry >= k, which it
+  lowers by k.
+
+The canonical path itself is such a walk: its stage j is travel(n-j) x
+(p-1), so from zero the planner reaches M(mu) by the same certified
+fills as from any weight with ell above ell(mu).
+
+The finished walk must end at the target within the length bound.  A
+failed check raises InvariantViolationError rather than being silently
+repaired, since it can only mean a bug in the construction.  A plan
+holds its blocks; its moves and waypoints are expanded from them when
+asked for.
 
 All prose steps of the underlying recipe that admit two readings are
 resolved the way the move validator and the length bound both accept;
@@ -28,22 +44,26 @@ comments mark each such point inline.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .char0 import canonical_path_char0
 from .moves import (
     _ADD_FIRST_MOVE,
     _CLEAR_LAST_MOVE,
+    CLEAR_FORWARD,
+    CLEAR_LAST,
     Move,
-    NotApplicableError,
     _clear_forward,
-    _step,
+    _rep,
     first_nonzero_position,
-    validate_move,
 )
 from .weights import Weight, require_restricted
+
+# The block kind besides the clear_forward and clear_last runs.
+_TRAVEL = "travel"
 
 
 class InvariantViolationError(AssertionError):
@@ -73,51 +93,41 @@ def canonical_set(n: int, p: int) -> frozenset[Weight]:
     return frozenset(canonical_path_char0(n, p))
 
 
-@lru_cache(maxsize=None)
-def _canonical_moves(n: int, p: int) -> tuple[Move, ...]:
-    """The canonical path realized as certified moves (its consecutive
-    pairs are add_first / clear_forward edges)."""
-    wps = canonical_path_char0(n, p)
-    return tuple(validate_move(a, b, p) for a, b in zip(wps, wps[1:]))
-
-
 def s_mu(mu: Weight, p: int) -> int:
     """Last nonzero position strictly before ell(mu), or 0 when there is
     none.  A weight with no such position must lie on the canonical path
     (it is all zeros, then one entry, then p-1s); if not, something is
     inconsistent and we refuse to guess."""
-    return _s_mu(require_restricted(mu, p), p)
+    return _statistics(require_restricted(mu, p), p)[1]
 
 
-def _s_mu(mu: Weight, p: int) -> int:
+def _statistics(mu: Weight, p: int) -> tuple[int, int, bool]:
+    """ell(mu), s_mu(mu) and whether mu is on the canonical path, each
+    computed once."""
     n = len(mu) + 1
     l = _ell(mu, p)
-    below = [x for x in range(1, min(l, n)) if mu[x - 1] > 0]
-    if below:
-        return max(below)
-    if mu not in canonical_set(n, p):
+    on_path = mu in canonical_set(n, p)
+    for x in range(min(l, n) - 1, 0, -1):
+        if mu[x - 1]:
+            return l, x, on_path
+    if not on_path:
         raise InvariantViolationError(
             f"weight {mu} has only zeros before position {l} but is not canonical"
         )
-    return 0
+    return l, 0, on_path
 
 
 def capital_M_of(mu: Weight, p: int) -> Weight:
     """The canonical waypoint attached to mu: mu itself if canonical, else
     zeros with a 1 at s_mu, mu's entry at ell(mu), and p-1 afterwards."""
-    return _capital_M(require_restricted(mu, p), p)
-
-
-def _capital_M(mu: Weight, p: int) -> Weight:
-    n = len(mu) + 1
-    if mu in canonical_set(n, p):
+    l, s, on_path = _statistics(require_restricted(mu, p), p)
+    if on_path:
         return mu
-    l = _ell(mu, p)
+    n = len(mu) + 1
     out = [0] * (n - 1)
-    out[_s_mu(mu, p) - 1] = 1
+    out[s - 1] = 1
     out[l - 1] = mu[l - 1]
-    for x in range(l + 1, n):
-        out[x - 1] = p - 1
+    out[l:] = [p - 1] * (n - 1 - l)
     result = tuple(out)
     if result not in canonical_set(n, p):
         raise InvariantViolationError(f"constructed waypoint {result} is not canonical")
@@ -131,6 +141,10 @@ def lambda_zero(lam: Weight, upto: int, r: int, p: int) -> int:
         raise ValueError("need p >= 2")
     if not 0 <= upto <= len(lam):
         raise ValueError(f"upto out of range: {upto}")
+    return _lambda_zero(lam, upto, r, p)
+
+
+def _lambda_zero(lam: Weight, upto: int, r: int, p: int) -> int:
     return (r - sum(lam[:upto])) % (p - 1)
 
 
@@ -141,20 +155,16 @@ def path_from_M(mu: Weight, p: int) -> list[Move]:
     s_mu from its seed 1 to mu's value, then carry single 1s into each
     lower position the required number of times.
     """
-    return _path_from_M(require_restricted(mu, p), p)
-
-
-def _path_from_M(mu: Weight, p: int) -> list[Move]:
-    if mu in canonical_set(len(mu) + 1, p):
+    _, s, on_path = _statistics(require_restricted(mu, p), p)
+    if on_path:
         return []
-    s = _s_mu(mu, p)
-    moves: list[Move] = []
-    for _ in range(mu[s - 1] - 1):
-        moves += _travel(s)
-    for j in range(s - 1, 0, -1):
-        for _ in range(mu[j - 1]):
-            moves += _travel(j)
-    return moves
+    return [move for x, k in _travels_from_M(mu, s) for move in _travel(x) * k]
+
+
+def _travels_from_M(mu: Weight, s: int) -> list[tuple[int, int]]:
+    """path_from_M for a mu off the canonical path, as (x, k) runs of
+    travel(x) x k."""
+    return [(s, mu[s - 1] - 1)] + [(j, mu[j - 1]) for j in range(s - 1, 0, -1)]
 
 
 @lru_cache(maxsize=None)
@@ -163,75 +173,125 @@ def _travel(x: int) -> tuple[Move, ...]:
     return (_ADD_FIRST_MOVE,) + tuple(_clear_forward(k) for k in range(1, x))
 
 
+def _effect(cur: list[int], kind: str, at: int, k: int, p: int) -> None:
+    """Apply a certified run of k moves to the running weight ``cur`` in
+    place, trusting its precondition.  A single move is the run of its own
+    kind at its position with k = 1; add_first is a travel to position 1."""
+    if kind == CLEAR_LAST:
+        cur[-1] -= k
+    elif kind == CLEAR_FORWARD:
+        cur[at - 1] -= k
+        cur[at] = _rep(cur[at] + k, p)
+    else:
+        cur[at - 1] = _rep(cur[at - 1] + k, p)
+
+
+def _run(cur: list[int], kind: str, at: int, k: int, p: int) -> None:
+    """Certify the run ``kind(at) x k``, k >= 1, at ``cur`` in closed form
+    and apply it: every block kind needs zeros before ``at``; the clearing
+    runs also need entry ``at`` >= k, and ``at`` < n-1 exactly for
+    clear_forward."""
+    if not 1 <= at <= len(cur) or any(cur[: at - 1]):
+        raise InvariantViolationError(
+            f"{kind}({at}) x {k} needs zeros before position {at}: {tuple(cur)}"
+        )
+    if kind != _TRAVEL and (cur[at - 1] < k or (kind == CLEAR_LAST) != (at == len(cur))):
+        raise InvariantViolationError(f"{kind}({at}) x {k} fails at {tuple(cur)}")
+    _effect(cur, kind, at, k, p)
+
+
 @dataclass(frozen=True)
 class PathPlan:
-    """A validated walk through the certified subgraph."""
+    """A validated walk through the certified subgraph, held as the
+    certified blocks ``(kind, at, k)`` that make it up."""
 
     n: int
     p: int
     source: Weight
     target: Weight
-    moves: tuple[Move, ...]
-    waypoints: tuple[Weight, ...]
+    blocks: tuple[tuple[str, int, int], ...]
+    length: int
+
+    def _moves(self) -> Iterator[Move]:
+        """The moves, block by block."""
+        for kind, at, k in self.blocks:
+            if kind == _TRAVEL:
+                for _ in range(k):
+                    yield from _travel(at)
+            else:
+                yield from repeat(
+                    _clear_forward(at) if kind == CLEAR_FORWARD else _CLEAR_LAST_MOVE, k
+                )
+
+    def _walk(self) -> Iterator[tuple[Move, list[int]]]:
+        """Each move with the weight it reaches, in one pass.  The weight
+        is one list updated in place, so keep a copy, not the list."""
+        cur = list(self.source)
+        p = self.p
+        for move in self._moves():
+            _effect(cur, move.kind, move.s or 1, 1, p)
+            yield move, cur
 
     @property
-    def length(self) -> int:
-        return len(self.moves)
+    def moves(self) -> tuple[Move, ...]:
+        """Every move, expanded from the blocks on each access."""
+        return tuple(self._moves())
+
+    @property
+    def waypoints(self) -> tuple[Weight, ...]:
+        """The source and the weight after each move, expanded likewise."""
+        return (self.source,) + tuple(tuple(w) for _, w in self._walk())
 
     def to_json_dict(self) -> dict:
+        """The plan as JSON data, its moves and waypoints built in one
+        pass over the blocks."""
+        moves = []
+        waypoints = [list(self.source)]
+        for move, w in self._walk():
+            moves.append(move.to_json_dict())
+            waypoints.append(w[:])
         return {
             "n": self.n,
             "p": self.p,
             "source": list(self.source),
             "target": list(self.target),
             "length": self.length,
-            "moves": [m.to_json_dict() for m in self.moves],
-            "waypoints": [list(w) for w in self.waypoints],
+            "moves": moves,
+            "waypoints": waypoints,
         }
 
 
 class _Builder:
-    """Accumulates moves while tracking the current weight, which is
-    p-restricted from the validated source on; a move that is not a
-    certified edge out of the current weight is a construction bug and
-    surfaces as an invariant violation."""
+    """The running weight, p-restricted from the validated source on, and
+    the certified blocks that reach it; a block that fails its check is a
+    construction bug and surfaces as an invariant violation."""
 
     def __init__(self, source: Weight, p: int):
         self.p = p
-        self.cur = source
-        self.moves: list[Move] = []
-        self.waypoints: list[Weight] = [source]
+        self.cur = list(source)
+        self.blocks: list[tuple[str, int, int]] = []
+        self.length = 0
 
-    def emit(self, move: Move) -> None:
-        try:
-            self.cur = _step(self.cur, move, self.p)
-        except NotApplicableError as exc:
-            raise InvariantViolationError(f"constructed move fails: {exc}") from exc
-        self.moves.append(move)
-        self.waypoints.append(self.cur)
-
-    def extend(self, moves: Iterable[Move]) -> None:
-        for move in moves:
-            self.emit(move)
-
-    def add_first(self, times: int = 1) -> None:
-        for _ in range(times):
-            self.emit(_ADD_FIRST_MOVE)
+    def run(self, kind: str, at: int, k: int = 1) -> None:
+        """Certify and record ``kind(at) x k``; a run of no moves is none."""
+        if k > 0:
+            _run(self.cur, kind, at, k, self.p)
+            self.blocks.append((kind, at, k))
+            self.length += k * at if kind == _TRAVEL else k
 
     def fill(self, x: int, value: int) -> None:
         """Raise entry x from its current value to ``value`` by repeated
         carries; never wraps because value <= p-1."""
-        while self.cur[x - 1] < value:
-            self.extend(_travel(x))
+        self.run(_TRAVEL, x, value - self.cur[x - 1])
 
     def sweep_below(self, stop: int) -> None:
         """Clear forward from the first nonzero entry until every position
-        before ``stop`` is zero."""
-        while True:
-            s = first_nonzero_position(self.cur)
-            if s is None or s >= stop:
-                return
-            self.emit(_clear_forward(s))
+        before ``stop`` is zero; each run carries a nonzero entry to the
+        next position."""
+        s = first_nonzero_position(self.cur)
+        while s is not None and s < stop:
+            self.run(CLEAR_FORWARD, s, self.cur[s - 1])
+            s += 1
 
 
 def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
@@ -246,101 +306,69 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
     if len(lam) != len(mu):
         raise ValueError(f"rank mismatch: {len(lam) + 1} vs {len(mu) + 1}")
     n = len(lam) + 1
-    zero = (0,) * (n - 1)
     b = _Builder(lam, p)
 
     if lam == mu:
         pass
-    elif lam == zero:
-        # Ride the canonical path to M(mu), then fill.
-        target = _capital_M(mu, p)
-        idx = canonical_path_char0(n, p).index(target)
-        b.extend(_canonical_moves(n, p)[:idx])
-        b.extend(_path_from_M(mu, p))
-    elif mu == zero:
+    elif not any(mu):
         # Not covered by the ell-comparison cases (mu's entry at ell(mu)=n
         # is out of range): normalize the running sum to 1, flush it to
         # position n-1 and clear it off the end.
-        b.add_first(lambda_zero(lam, n - 1, 1, p))
+        b.run(_TRAVEL, 1, _lambda_zero(lam, n - 1, 1, p))
         b.sweep_below(n - 1)
-        if b.cur != zero[:-1] + (1,):
-            raise InvariantViolationError(f"flush before clear_last left {b.cur}")
-        b.emit(_CLEAR_LAST_MOVE)
+        b.run(CLEAR_LAST, n - 1)
     else:
-        l_lam, l_mu = _ell(lam, p), _ell(mu, p)
-        s = _s_mu(mu, p)
+        l_mu, s, on_path = _statistics(mu, p)
+        l_lam = _ell(lam, p)
         if l_lam > l_mu:
             # Zero out everything below ell(lam) (the congruence makes the
             # swept entry land on p-1 or stay 0), then top up positions
-            # ell(lam)..ell(mu)+1 to p-1, set mu's entry at ell(mu), and
-            # seed the 1 at s_mu.
-            b.add_first(lambda_zero(lam, l_lam, 0, p))
+            # ell(lam)..ell(mu)+1 to p-1 and set mu's entry at ell(mu).
+            # From zero, where ell is n, this rides the canonical path.
+            b.run(_TRAVEL, 1, _lambda_zero(lam, l_lam, 0, p))
             b.sweep_below(l_lam)
-            for x in range(l_lam, l_mu, -1):
+            for x in range(min(l_lam, n - 1), l_mu, -1):
                 b.fill(x, p - 1)
             if l_mu >= 1:
                 b.fill(l_mu, mu[l_mu - 1])
-            if s >= 1:
-                b.extend(_travel(s))
-            b.extend(_path_from_M(mu, p))
         elif mu[l_mu - 1] != 0:
             # ell(lam) <= ell(mu): sweeping below ell(mu) deposits exactly
             # mu's entry there thanks to the congruence target.
-            b.add_first(lambda_zero(lam, l_mu, mu[l_mu - 1], p))
+            b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, mu[l_mu - 1], p))
             b.sweep_below(l_mu)
-            if b.cur[l_mu - 1] != mu[l_mu - 1]:
-                raise InvariantViolationError(
-                    f"sweep left {b.cur[l_mu - 1]} at position {l_mu}, "
-                    f"wanted {mu[l_mu - 1]}"
-                )
-            if s >= 1:
-                b.extend(_travel(s))
-            b.extend(_path_from_M(mu, p))
         elif l_mu == n - 1:
             # Target entry 0 at the last position: flush the sum to a 1
-            # there, clear it off the end, then seed the 1 at s_mu.
-            b.add_first(lambda_zero(lam, l_mu, 1, p))
+            # there and clear it off the end.
+            b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, 1, p))
             b.sweep_below(n - 1)
-            if b.cur != zero[:-1] + (1,):
-                raise InvariantViolationError(f"flush before clear_last left {b.cur}")
-            b.emit(_CLEAR_LAST_MOVE)
-            if s >= 1:
-                b.extend(_travel(s))
-            b.extend(_path_from_M(mu, p))
+            b.run(CLEAR_LAST, n - 1)
         else:
             # Target entry 0 strictly inside: sweep leaves 0 or p-1 at
             # ell(mu); a p-1 is recycled into the (already p-1) entry
             # beyond it, which wraps around and restores itself.
-            b.add_first(lambda_zero(lam, l_mu, 0, p))
+            b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, 0, p))
             b.sweep_below(l_mu)
             if b.cur[l_mu - 1] == p - 1:
-                for _ in range(p - 1):
-                    b.emit(_clear_forward(l_mu))
-            if b.cur[l_mu - 1] != 0:
-                raise InvariantViolationError(
-                    f"sweep left {b.cur[l_mu - 1]} at position {l_mu}, wanted 0"
-                )
-            if s >= 1:
-                b.extend(_travel(s))
-            b.extend(_path_from_M(mu, p))
+                b.run(CLEAR_FORWARD, l_mu, p - 1)
+        # Seed the 1 at s_mu, which completes M(mu), then fill in below.
+        if s >= 1:
+            b.run(_TRAVEL, s)
+        if not on_path:
+            for x, k in _travels_from_M(mu, s):
+                b.run(_TRAVEL, x, k)
 
     return _finish(b, n, p, lam, mu)
 
 
 def _finish(b: _Builder, n: int, p: int, lam: Weight, mu: Weight) -> PathPlan:
-    """Check that the walk, whose steps ``emit`` has checked, ends at mu
+    """Check that the walk, whose blocks ``run`` has certified, ends at mu
     within the length bound, and freeze it."""
-    if b.cur != mu:
-        raise InvariantViolationError(f"plan ends at {b.cur}, wanted {mu}")
-    if len(b.moves) > length_bound(n, p):
+    if tuple(b.cur) != mu:
+        raise InvariantViolationError(f"plan ends at {tuple(b.cur)}, wanted {mu}")
+    if b.length > length_bound(n, p):
         raise InvariantViolationError(
-            f"plan length {len(b.moves)} exceeds bound {length_bound(n, p)}"
+            f"plan length {b.length} exceeds bound {length_bound(n, p)}"
         )
     return PathPlan(
-        n=n,
-        p=p,
-        source=lam,
-        target=mu,
-        moves=tuple(b.moves),
-        waypoints=tuple(b.waypoints),
+        n=n, p=p, source=lam, target=mu, blocks=tuple(b.blocks), length=b.length
     )

@@ -128,6 +128,17 @@ class TestVerifyCommand:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_verify_names_the_instance_and_the_pairs(self, capsys):
+        _, out, _ = run(capsys, "verify", "--n", "3", "--p", "2")
+        assert out.splitlines()[0] == (
+            "verify n=3 p=2: 4 vertices, planner checked on all 16 ordered pairs"
+        )
+        _, out, _ = run(capsys, "verify", "--n", "3", "--p", "17")
+        assert out.splitlines()[0] == (
+            "verify n=3 p=17: 289 vertices, planner checked on 300 sampled pairs "
+            "(seed 20260811) plus (0,St)"
+        )
+
     def test_verify_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--p", "3", "--format", "json")
         assert code == 0

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planner_oracle
 from modmckay import planner
 from modmckay.graph import all_pairs_distances, build_certified_graph
 from modmckay.moves import (
+    CLEAR_FORWARD,
+    CLEAR_LAST,
     Move,
     apply_move,
     first_nonzero_position,
@@ -223,11 +226,16 @@ class TestPlanPath:
 
 
 @st.composite
-def weight_pairs(draw, max_n=12):
-    """(source, target, p): two p-restricted weights of one rank n <= max_n."""
+def weight_pairs(draw, max_n=12, ends=False):
+    """(source, target, p): two p-restricted weights of one rank n <= max_n;
+    with ``ends``, either may also be zero or the Steinberg weight."""
     n = draw(st.integers(2, max_n))
     p = draw(st.sampled_from([2, 3, 5, 7]))
     weight = st.tuples(*[st.integers(0, p - 1)] * (n - 1))
+    if ends:
+        weight = st.one_of(
+            st.just((0,) * (n - 1)), st.just(steinberg_weight(n, p)), weight
+        )
     return draw(weight), draw(weight), p
 
 
@@ -271,24 +279,115 @@ class TestInvariantGuards:
 
     def test_step_check_accepts_parallel_edge_label(self):
         # (2,) -> (1,) at p=3 is both add_first and clear_last.
-        b = planner._Builder((2,), 3)
+        b = planner_oracle._Builder((2,), 3)
         b.emit(Move("clear_last"))
-        plan = planner._finish(b, 2, 3, (2,), (1,))
+        plan = planner_oracle._finish(b, 2, 3, (2,), (1,))
         assert plan.moves == (Move("clear_last"),)
         assert plan.waypoints == ((2,), (1,))
 
-    @pytest.mark.parametrize("drop", [1, -1], ids=["first", "last"])
-    def test_corrupted_travel_never_returns_a_plan(self, monkeypatch, drop):
-        real = planner._travel
+    @pytest.mark.parametrize("lost", ["first", "last"])
+    def test_corrupted_travel_never_returns_a_plan(self, monkeypatch, lost):
+        real = planner._effect
 
-        def corrupted(x):
-            moves = list(real(x))
-            if x > 1:
-                del moves[drop]  # one clear_forward goes missing
-            return tuple(moves)
+        def corrupted(cur, kind, at, k, p):
+            if kind == planner._TRAVEL and at > 1:
+                # losing the first carry leaves the 1 at position 1, losing
+                # the last leaves it one short of ``at``
+                at = 1 if lost == "first" else at - 1
+            real(cur, kind, at, k, p)
 
-        monkeypatch.setattr(planner, "_travel", corrupted)
+        monkeypatch.setattr(planner, "_effect", corrupted)
         # Steinberg -> (0,0,2,1) carries to position 3 both in plan_path's
         # own seeding step and in path_from_M.
         with pytest.raises(InvariantViolationError):
             plan_path((2, 2, 2, 2), (0, 0, 2, 1), 3)
+
+
+class TestBlockPreconditions:
+    """Each closed-form block check refuses what stepping the block's
+    moves one by one would refuse."""
+
+    def test_travel_needs_zeros_before_its_position(self):
+        with pytest.raises(InvariantViolationError, match="zeros before"):
+            planner._run([1, 0, 0], planner._TRAVEL, 2, 1, 3)
+
+    def test_travel_stays_inside_the_weight(self):
+        with pytest.raises(InvariantViolationError):
+            planner._run([0, 0, 0], planner._TRAVEL, 4, 1, 3)
+
+    def test_clear_forward_needs_zeros_before_its_position(self):
+        with pytest.raises(InvariantViolationError, match="zeros before"):
+            planner._run([1, 2, 0], CLEAR_FORWARD, 2, 1, 3)
+
+    def test_clear_forward_cannot_clear_more_than_the_entry(self):
+        with pytest.raises(InvariantViolationError):
+            planner._run([2, 0, 0], CLEAR_FORWARD, 1, 3, 5)
+
+    def test_clear_forward_is_not_defined_at_the_last_position(self):
+        with pytest.raises(InvariantViolationError):
+            planner._run([0, 0, 1], CLEAR_FORWARD, 3, 1, 3)
+
+    def test_clear_last_needs_zeros_before_the_last_position(self):
+        with pytest.raises(InvariantViolationError, match="zeros before"):
+            planner._run([1, 0, 1], CLEAR_LAST, 3, 1, 3)
+
+    def test_clear_last_clears_only_the_last_position(self):
+        with pytest.raises(InvariantViolationError):
+            planner._run([2, 0, 0], CLEAR_LAST, 1, 1, 3)
+
+    def test_clear_last_cannot_clear_more_than_the_entry(self):
+        with pytest.raises(InvariantViolationError):
+            planner._run([0, 0, 1], CLEAR_LAST, 3, 2, 3)
+
+    def test_certified_runs_apply_their_closed_form(self):
+        cur = [0, 2, 1]
+        planner._run(cur, CLEAR_FORWARD, 2, 2, 5)
+        assert cur == [0, 0, 3]
+        planner._run(cur, planner._TRAVEL, 3, 2, 5)
+        assert cur == [0, 0, 1]  # 3 + 2 wraps to the representative 1
+        planner._run(cur, CLEAR_LAST, 3, 1, 5)
+        assert cur == [0, 0, 0]
+
+    def test_plan_must_end_at_the_target(self):
+        b = planner._Builder((0, 0), 3)
+        b.run(planner._TRAVEL, 1)
+        with pytest.raises(InvariantViolationError, match="plan ends at"):
+            planner._finish(b, 3, 3, (0, 0), (0, 1))
+
+    def test_plan_must_keep_within_the_bound(self):
+        b = planner._Builder((0,), 3)
+        b.run(planner._TRAVEL, 1, 3)  # 0 -> 1 -> 2 -> 1, bound 2
+        with pytest.raises(InvariantViolationError, match="exceeds bound"):
+            planner._finish(b, 2, 3, (0,), (1,))
+
+
+def assert_same_as_oracle(lam, mu, p):
+    plan = plan_path(lam, mu, p)
+    expected = planner_oracle.plan_path(lam, mu, p)
+    assert plan.length == expected.length
+    assert plan.moves == expected.moves
+    assert plan.waypoints == expected.waypoints
+    return plan
+
+
+class TestBlocksExpandToTheOracle:
+    """The block plan expands, move for move and waypoint for waypoint, to
+    the plan of the step-by-step builder in tests/planner_oracle.py."""
+
+    @pytest.mark.parametrize("n, p", [(3, 5), (5, 3), (4, 5)])
+    def test_every_ordered_pair(self, n, p):
+        weights = all_restricted(n, p)
+        for lam in weights:
+            for mu in weights:
+                assert_same_as_oracle(lam, mu, p)
+
+    @settings(max_examples=250, deadline=None)
+    @given(weight_pairs(ends=True))
+    def test_random_pairs(self, case):
+        lam, mu, p = case
+        plan = assert_same_as_oracle(lam, mu, p)
+        assert plan.to_json_dict() == planner_oracle.plan_path(lam, mu, p).to_json_dict()
+
+    def test_longest_plan(self):
+        plan = assert_same_as_oracle((0,) * 39, steinberg_weight(40, 11), 11)
+        assert plan.length == 7800 == length_bound(40, 11)
