@@ -14,10 +14,13 @@ that name, so each output is built only when asked for.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
 by ``_encode`` into one list of pieces.  With an indent, ``json.dumps``
-runs the stdlib's pure-Python encoder; here scalars and flat lists of
-numbers, booleans and nulls go through its C encoder instead, each flat
-list re-indented by one replace, so a plan's thousands of waypoints cost
-one C call each.
+runs the stdlib's pure-Python encoder; here scalars go through its C
+encoder instead, and so does a list of numbers, booleans and nulls or a
+list of rows of them: one C call for the whole list, re-indented by
+whole-string replaces, so a plan's thousands of waypoints, a graph's
+vertices or a canonical path cost one C call.  A dict that a list holds
+more than once, such as a plan's move label, is rendered once and its
+text reused.
 
 Exit codes: 0 success; 1 verification failure (``verify``,
 ``validate``) or a planner invariant violation, reported as ``error:``
@@ -136,12 +139,43 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _bulk(obj, indent: str, inner: str) -> str | None:
+    """The nonempty list ``obj`` rendered from one C-encoder call, when it
+    is a flat list of numbers, booleans and nulls or a list of nonempty
+    such rows; None otherwise.  Without strings and objects the compact
+    text of a flat list holds ", " only between items.  In a list of rows,
+    "[" opens the list and each row and nothing else, so "[[" and "]]"
+    occur only at the ends and "], [" only between rows.  Each replace
+    rebinds the text, so every copy frees the one before."""
+    try:
+        text = _compact(obj)
+    except TypeError:  # an object for to_json_dict
+        return None
+    if '"' in text or "{" in text:
+        return None
+    if not isinstance(obj[0], (list, tuple)):
+        if text.count("[") != 1:
+            return None
+        return "[" + inner + text[1:-1].replace(", ", "," + inner) + indent + "]"
+    if (
+        "[]" in text
+        or text.count("[") != len(obj) + 1
+        or not all(isinstance(row, (list, tuple)) for row in obj)
+    ):
+        return None
+    cell = inner + "  "
+    text = text.replace("[[", "[" + inner + "[" + cell, 1)
+    text = text.replace("]]", inner + "]" + indent + "]")
+    text = text.replace("], [", inner + "]," + inner + "[" + cell)
+    return text.replace(", ", "," + cell)
+
+
 def _encode(obj, indent: str, append) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
-    ``indent`` (a newline and the spaces of the enclosing level).  A
-    flat list of numbers, booleans and nulls is one C-encoded string,
-    re-indented by one replace: its compact text holds ", " only between
-    items as long as it holds no string and no container."""
+    ``indent`` (a newline and the spaces of the enclosing level).  Lists
+    of numbers, and lists of rows of them, take one C-encoder call each
+    (``_bulk``).  A dict that a list holds more than once is rendered once
+    and its text reused."""
     if isinstance(obj, _SCALARS):
         append(_compact(obj))
     elif isinstance(obj, (list, tuple)):
@@ -149,19 +183,28 @@ def _encode(obj, indent: str, append) -> None:
             append("[]")
             return
         inner = indent + "  "
-        if not isinstance(obj[0], (str, list, tuple, dict)):
-            try:
-                text = _compact(obj)
-            except TypeError:  # an object for to_json_dict
-                text = '"'
-            if '"' not in text and "[" not in text[1:] and "{" not in text:
-                append("[" + inner + text[1:-1].replace(", ", "," + inner) + indent + "]")
+        if not isinstance(obj[0], (str, dict)):
+            text = _bulk(obj, indent, inner)
+            if text is not None:
+                append(text)
                 return
+        memo: dict[int, str] = {}
         sep = "[" + inner
         for item in obj:
             append(sep)
-            _encode(item, inner, append)
             sep = "," + inner
+            # A dict held once has three references here: its slot, ``item``
+            # and getrefcount's argument.  Only one with more can repeat, so
+            # items that never repeat cost the memo nothing.
+            if type(item) is dict and sys.getrefcount(item) > 3:
+                text = memo.get(id(item))
+                if text is None:
+                    pieces: list[str] = []
+                    _encode(item, inner, pieces.append)
+                    text = memo[id(item)] = "".join(pieces)
+                append(text)
+            else:
+                _encode(item, inner, append)
         append(indent + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -371,13 +414,21 @@ def _cmd_verify(args):
     payload = {
         "n": args.n,
         "p": args.p,
+        **scope,
         "checks": [{"name": name, "ok": good} for name, good in lines],
         "ok": ok,
     }
 
     def text() -> str:
+        if scope["seed"] is None:
+            pairs = f"all {scope['pairs']} ordered pairs"
+        else:
+            pairs = f"{scope['pairs'] - 1} sampled pairs (seed {scope['seed']}) plus (0,St)"
         width = max(len(name) for name, _ in lines)
-        out = f"verify n={args.n} p={args.p}: {scope}\n" + "".join(
+        out = (
+            f"verify n={args.n} p={args.p}: {scope['vertices']} vertices, "
+            f"planner checked on {pairs}\n"
+        ) + "".join(
             f"{'PASS' if good else 'FAIL'}  {name.ljust(width)}\n"
             for name, good in lines
         )
@@ -386,9 +437,12 @@ def _cmd_verify(args):
     return payload, {"text": text}, 0 if ok else 1
 
 
-def run_verification(n: int, p: int, budget: int) -> tuple[str, list[tuple[str, bool]], bool]:
+def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str, bool]], bool]:
     """What was checked, the acceptance checks for a single (n, p) as
-    (name, ok) pairs, and whether all of them passed.
+    (name, ok) pairs, and whether all of them passed.  What was checked is
+    the vertex count, the planner's pair mode ("exhaustive" or "sampled"),
+    the number of pairs planned and the sample's seed (None when
+    exhaustive).
 
     The verification scope is the certified subgraph: its edges are a
     subset of the true McKay graph's, and the extremal distance from zero
@@ -423,7 +477,7 @@ def run_verification(n: int, p: int, budget: int) -> tuple[str, list[tuple[str, 
 
     if len(g.vertices) <= 256:
         pairs = [(a, b) for a in g.vertices for b in g.vertices]
-        sample = f"all {len(pairs)} ordered pairs"
+        mode, seed = "exhaustive", None
     else:
         seed = 20260811
         rng = random.Random(seed)
@@ -431,8 +485,8 @@ def run_verification(n: int, p: int, budget: int) -> tuple[str, list[tuple[str, 
             (rng.choice(g.vertices), rng.choice(g.vertices)) for _ in range(300)
         ]
         pairs += [(zero, st)]
-        sample = f"300 sampled pairs (seed {seed}) plus (0,St)"
-    scope = f"{len(g.vertices)} vertices, planner checked on {sample}"
+        mode = "sampled"
+    scope = {"vertices": len(g.vertices), "pair_mode": mode, "pairs": len(pairs), "seed": seed}
     # One BFS row per distinct source of the planned pairs, zero among them.
     rows = {a: bfs_distances(g, a) for a in dict.fromkeys(a for a, _ in pairs)}
     checks.append(("d(0,St) equals the bound", rows[zero][g.index_of(st)] == bound))

@@ -244,11 +244,16 @@ class PathPlan:
 
     def to_json_dict(self) -> dict:
         """The plan as JSON data, its moves and waypoints built in one
-        pass over the blocks."""
+        pass over the blocks.  ``moves`` shares one dict per distinct
+        move, so the encoder renders each label once."""
+        labels: dict[Move, dict] = {}
         moves = []
         waypoints = [list(self.source)]
         for move, w in self._walk():
-            moves.append(move.to_json_dict())
+            label = labels.get(move)
+            if label is None:
+                label = labels[move] = move.to_json_dict()
+            moves.append(label)
             waypoints.append(w[:])
         return {
             "n": self.n,

@@ -138,6 +138,13 @@ class TestVerifyCommand:
             "verify n=3 p=17: 289 vertices, planner checked on 300 sampled pairs "
             "(seed 20260811) plus (0,St)"
         )
+        # The JSON carries the same scope.
+        scopes = []
+        for p in ("2", "17"):
+            _, out, _ = run(capsys, "verify", "--n", "3", "--p", p, "--format", "json")
+            payload = json.loads(out)
+            scopes.append(tuple(payload[key] for key in ("vertices", "pair_mode", "pairs", "seed")))
+        assert scopes == [(4, "exhaustive", 16, None), (289, "sampled", 301, 20260811)]
 
     def test_verify_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--p", "3", "--format", "json")
@@ -281,6 +288,8 @@ _LEAVES = st.one_of(
     _OBJECTS,
     st.lists(st.one_of(st.integers(), st.booleans(), st.none())),  # flat lists
     st.lists(st.integers()).map(tuple),
+    st.lists(st.lists(st.one_of(st.integers(), st.booleans(), st.none()), min_size=1)),  # rows
+    st.lists(st.lists(st.integers(), min_size=1).map(tuple), min_size=1).map(tuple),
 )
 _PAYLOADS = st.recursive(
     _LEAVES,
@@ -288,9 +297,15 @@ _PAYLOADS = st.recursive(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(_KEYS, inner, max_size=5),
+        st.tuples(inner, st.integers(2, 4)).map(lambda t: [t[0]] * t[1]),  # one object, repeated
     ),
     max_leaves=25,
 )
+
+
+# Dict objects that the payloads below hold several times, at two depths.
+_LABEL = {"kind": "clear_forward", "s": 2}
+_ADD_FIRST = {"kind": "add_first"}
 
 
 class TestJsonEncoder:
@@ -302,6 +317,11 @@ class TestJsonEncoder:
     @pytest.mark.parametrize("payload", [
         [], {}, (), [[]], [{}], {"": []}, [1, [2]], [1, "a, b"], [1, Move("add_first")],
         [0.5, math.nan, -math.inf, True, None], {1: 1, 2.5: 2, True: 3, None: 4},
+        [[1, [2], 3]], [[1, 2], 3], [[1, [2]], 3], [[1], []], [[]], [[[1]]], [(1, 2), [3]],
+        [[math.nan, True, None], [-0.0, 1e300]],
+        [_LABEL, {"kind": "clear_last"}, _LABEL, _LABEL],
+        [_LABEL, _ADD_FIRST, _LABEL, _ADD_FIRST],
+        {"moves": [_LABEL, _LABEL], "nested": [[_LABEL, 1], [_LABEL]]},
     ])
     def test_edge_cases_match_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)

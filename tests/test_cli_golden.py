@@ -69,9 +69,9 @@ GOLDEN = [
     ('diameter --n 4 --p 5 --format json', 0, 'b6e6bc8e867f21c41785cb3ff009bce01f4f953f19bc9984759d3435cc725495', ''),
     ('diameter --n 2 --p 4 --allow-nonprime --format json', 0, '376598a5a7be68dfcbba747e84123202f8a2b7b7eafa9576f3f94c539bb0b17b', ''),
     ('verify --n 3 --p 3', 0, 'f84423de05c4e262d04ef42e3d196bf8cfe3390dad7cd51f9fee10c698d19fd5', ''),
-    ('verify --n 3 --p 3 --format json', 0, 'eccbfbdaa9ddbe1b9d93f3936f2e85b299f273c6698f3dc5a4cd7df176ee2376', ''),
+    ('verify --n 3 --p 3 --format json', 0, 'dba5c0e90c354a7b3f08d7c8eea690325e67f0eb38a7a2d483578656dfa83fdb', ''),
     ('verify --n 2 --p 2', 0, '3595a5598681b31d7d712ec0fc553c93e11744b2c889e8c7a9d1beb58a3006f5', ''),
-    ('verify --n 3 --p 17 --format json', 0, 'dcbc9023a20d4451a8af9eba8104456b231240ea04dc880a7708103c57f1ac3f', ''),
+    ('verify --n 3 --p 17 --format json', 0, '4f2779cdcf47be34994a4775deeaae08d4b50cc86221e33f6fbaf23c2d58ce10', ''),
     ('diameter --p 3', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: diameter needs --n\n'),
     ('canonical-path --p 3', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: canonical-path needs --n\n'),
     ('graph --p 3 --format json', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: graph needs --n\n'),

@@ -272,6 +272,12 @@ class TestPathPlanSerialization:
         assert payload["moves"] == [{"kind": "add_first"}]
         assert payload["waypoints"] == [[0], [1]]
 
+    def test_moves_share_one_dict_per_distinct_move(self):
+        plan = plan_path((0,) * 39, steinberg_weight(40, 11), 11)
+        moves = plan.to_json_dict()["moves"]
+        assert len(moves) == 7800
+        assert len({id(label) for label in moves}) == len(set(plan.moves))
+
 
 class TestInvariantGuards:
     def test_invariant_error_is_distinguishable(self):
