@@ -5,32 +5,33 @@ Vertices are listed in lexicographic order, so indices are deterministic.
 Out-degrees are 1 (zero weight) or 2, and every edge obeys the potential
 law f(head) <= f(tail) + 1.  The graph is immutable after construction.
 
-The diameter is one bit-parallel traversal from all V sources at once
-(multi-source traversal over bitsets, after Then et al., PVLDB 8(4),
-2014), not V separate BFS runs: every vertex keeps a V-bit mask of the
-sources that reach it, and each round ORs in the masks of its
-predecessors until every mask is full.  Two generations of masks take
-2 * V^2 / 8 bytes; above DIAMETER_MEMORY_LIMIT (1 GiB, about 65,000
-vertices) the diameter is refused with BudgetExceededError before
-anything is allocated.  Per-source BFS still serves single rows, the CSV
-distance matrix, and the tests as the independent oracle.
+The diameter and the all-pairs distance matrix come from one bit-parallel
+traversal from all V sources at once (multi-source traversal over bitsets,
+after Then et al., PVLDB 8(4), 2014), not from V separate BFS runs.  Its
+two generations of V-bit masks take 2 * V^2 / 8 bytes, and each of the
+matrix's bit_length(V - 1) bit planes V^2 / 8 more.  Above
+DIAMETER_MEMORY_LIMIT (1 GiB: about 65,000 vertices for the diameter,
+22,000 for the matrix) the traversal is refused with BudgetExceededError
+before anything is allocated.  Per-source BFS serves single rows
+(``bfs --from``) and the distances ``verify`` checks plans against; the
+matrix does not use it.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import product
+from operator import xor
 
 from .moves import Move, certified_moves
 from .planner import PathPlan
 from .weights import Weight, format_weight
 
 DEFAULT_VERTEX_BUDGET = 10**6
-# Bytes the diameter's two generations of reachability masks may take.
+# Bytes the traversal's reachability masks may take: two generations, plus
+# the distance matrix's bit planes.
 DIAMETER_MEMORY_LIMIT = 1 << 30
 
 
@@ -119,69 +120,72 @@ def bfs_distances(g: CertifiedGraph, source: Weight) -> list[int | None]:
     return dist
 
 
-def all_pairs_distances(g: CertifiedGraph) -> list[list[int | None]]:
-    """Per-source BFS over all vertices; row i is bfs_distances from
-    vertex i."""
-    return [bfs_distances(g, w) for w in g.vertices]
+def _rounds(
+    g: CertifiedGraph, planes: int, what: str
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The successor-mask traversal: bit t of ``reach[s]`` is set once
+    source s reaches t.  Round k ORs into each mask the masks of its
+    source's successors, so it leaves the targets within distance k.
+    Yields each round's (before, after) masks, round 0 going from none to
+    the source's own bit, until a round changes nothing.
+
+    The caller keeps ``planes`` further lists of V masks; ``what`` names
+    the result refused when all of them would exceed DIAMETER_MEMORY_LIMIT.
+    """
+    size = len(g.vertices)
+    need = (2 + planes) * size * size // 8
+    if need > DIAMETER_MEMORY_LIMIT:
+        raise BudgetExceededError(
+            f"{what} of {size} vertices needs {need} bytes of "
+            f"reachability masks, over the limit of {DIAMETER_MEMORY_LIMIT}"
+        )
+    # Column c holds each vertex's c-th successor, or the vertex itself when
+    # it has fewer; one pass per pair of columns.
+    width = max(map(len, g.adjacency), default=0)
+    columns = [
+        [adj[c][1] if c < len(adj) else v for v, adj in enumerate(g.adjacency)]
+        for c in range(width + width % 2)
+    ]
+    after = [1 << v for v in range(size)]
+    yield [0] * size, after
+    while True:
+        before = after
+        for xs, ys in zip(columns[::2], columns[1::2]):
+            after = [m | before[x] | before[y] for m, x, y in zip(after, xs, ys)]
+        if after == before:
+            return
+        yield before, after
+
+
+def _first_hole(reach: list[int], full: int) -> tuple[int, int]:
+    """The first (source, target) pair in row-major order whose bit is
+    missing from ``reach``; some bit must be."""
+    s = next(s for s, m in enumerate(reach) if m != full)
+    hole = full ^ reach[s]
+    return s, (hole & -hole).bit_length() - 1
 
 
 def subgraph_diameter(g: CertifiedGraph) -> tuple[int, tuple[Weight, Weight]]:
     """Maximum distance over all ordered pairs, with the first attaining
     pair in (source index, target index) order.
 
-    Bit s of ``reach[v]`` is set once source s reaches v; round k ORs into
-    each mask the masks of v's predecessors, so after k rounds it holds
-    the sources within distance k.  The round that fills every mask is
-    the diameter, and the pairs at that distance are the bits still
-    missing one round earlier.  Unreachable pairs would make the diameter
-    infinite; a round that changes nothing while a mask is not full
-    reports the first such pair as an error rather than skipping it.
+    The diameter is the last round of the successor-mask traversal, and
+    the pairs at that distance are the bits still missing before it.
+    Unreachable pairs would make the diameter infinite; a traversal that
+    stops before every mask is full reports the first such pair as an
+    error rather than skipping it.
     """
-    size = len(g.vertices)
-    need = 2 * size * size // 8
-    if need > DIAMETER_MEMORY_LIMIT:
+    full = (1 << len(g.vertices)) - 1
+    for rounds, (before, after) in enumerate(_rounds(g, 0, "the diameter")):
+        pass
+    if any(m != full for m in after):
+        i, j = _first_hole(after, full)
         raise BudgetExceededError(
-            f"the diameter of {size} vertices needs {need} bytes of "
-            f"reachability masks, over the limit of {DIAMETER_MEMORY_LIMIT}"
+            f"vertex {g.vertices[j]} unreachable from {g.vertices[i]}; "
+            "the certified subgraph should be strongly connected"
         )
-    preds: list[set[int]] = [set() for _ in range(size)]
-    for u, adj in enumerate(g.adjacency):
-        for _, v in adj:
-            if u != v:
-                preds[v].add(u)
-    full = (1 << size) - 1
-    reach = [1 << v for v in range(size)]
-    rounds = 0
-    witness = (0, 0)  # a lone vertex is its own farthest vertex
-    while any(m != full for m in reach):
-        nxt = []
-        for m, ps in zip(reach, preds):
-            for u in ps:
-                m |= reach[u]
-            nxt.append(m)
-        if nxt == reach:
-            i, j = _first_missing(reach, full)
-            raise BudgetExceededError(
-                f"vertex {g.vertices[j]} unreachable from {g.vertices[i]}; "
-                "the certified subgraph should be strongly connected"
-            )
-        rounds += 1
-        if all(m == full for m in nxt):
-            witness = _first_missing(reach, full)
-        reach = nxt
-    i, j = witness
+    i, j = _first_hole(before, full)  # a lone vertex is its own farthest vertex
     return rounds, (g.vertices[i], g.vertices[j])
-
-
-def _first_missing(reach: list[int], full: int) -> tuple[int, int]:
-    """The first (source, target) index pair, in row-major order, whose
-    bit is missing from the masks ``reach``; some bit must be."""
-    holes = 0
-    for m in reach:
-        holes |= full ^ m
-    i = (holes & -holes).bit_length() - 1
-    j = next(j for j, m in enumerate(reach) if not m >> i & 1)
-    return i, j
 
 
 def _dot(name: str, nodes: list[str], edges: list[tuple[str, str, str]]) -> str:
@@ -229,12 +233,56 @@ def neighbors_to_dot(w: Weight, neighbors: set[tuple[str, Weight]]) -> str:
 
 
 def distance_matrix_csv(g: CertifiedGraph) -> str:
-    """All-pairs distance matrix as CSV; header row holds weight labels,
-    each following row is one source."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    labels = [format_weight(w) for w in g.vertices]
-    writer.writerow(["source"] + labels)
-    for w, row in zip(g.vertices, all_pairs_distances(g)):
-        writer.writerow([format_weight(w)] + ["" if d is None else d for d in row])
-    return buf.getvalue()
+    """All-pairs distance matrix as CSV, byte for byte what ``csv.writer``
+    writes: a header row of weight labels, then one row per source, with
+    an empty cell for a target the source never reaches.
+
+    Plane j holds, per source, the targets first reached in a round whose
+    bit j is set.  A run of such rounds a..b adds the masks after b XOR
+    those after a - 1, so the masks after round m enter plane j whenever
+    bit j of m differs from that of m + 1, and the last masks enter the
+    planes of the bits of the last round.  A row turns each of its planes
+    into lanes, one per target, shifts them by j and adds them up; an
+    unreached target's lane holds one more than the largest distance.
+    """
+    size = len(g.vertices)
+    full = (1 << size) - 1
+    planes: list[list[int]] = []
+
+    def toggle(bits: int, masks: list[int]) -> None:
+        for j in range(bits.bit_length()):
+            if bits >> j & 1:
+                if j < len(planes):
+                    planes[j] = list(map(xor, planes[j], masks))
+                else:
+                    planes.append(masks)
+
+    traversal = _rounds(g, (size - 1).bit_length(), "the distance matrix")
+    for k, (before, after) in enumerate(traversal):
+        if k:
+            toggle((k - 1) ^ k, before)
+    toggle(k, after)
+    unreached = k + 1
+    # Lanes of one byte, or of four past 255 (UTF-16 would pair surrogates):
+    # bit t of a mask, as the character "0" or "1", encodes to lane t of a
+    # big-endian int, and the translation leaves the bit's value there.
+    width, codec = (1, "latin-1") if unreached < 256 else (4, "utf-32-be")
+    digit = bytes.maketrans(b"01", b"\0\1")
+    spec = f"0{size}b"
+
+    def lanes(mask: int) -> int:
+        return int.from_bytes(format(mask, spec).encode(codec).translate(digit), "big")
+
+    # A row decodes to one character per target whose code is the cell's
+    # value, and str.translate renders it.
+    cells = [f",{d}" for d in range(unreached)] + [","]
+    # csv's minimal quoting, for labels made of digits and commas.
+    labels = [f'"{w}"' if "," in w else w for w in map(format_weight, g.vertices)]
+    rows = [",".join(["source", *labels]) + "\r\n"]
+    for s, label in enumerate(labels):
+        row = sum(lanes(plane[s]) << j for j, plane in enumerate(planes))
+        if after[s] != full:
+            row += lanes(full ^ after[s]) * unreached
+        values = row.to_bytes(size * width, "big").decode(codec, "surrogatepass")
+        rows.append(label + values[::-1].translate(cells) + "\r\n")
+    return "".join(rows)

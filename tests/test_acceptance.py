@@ -11,7 +11,7 @@ from itertools import permutations, product
 
 from modmckay.char0 import canonical_path_char0, char0_distance, lr_neighbors
 from modmckay.conormal import addable_indices, block_form, conormal_indices
-from modmckay.graph import all_pairs_distances, build_certified_graph
+from modmckay.graph import build_certified_graph
 from modmckay.moves import certified_moves, certify_via_conormal, validate_move
 from modmckay.planner import length_bound, plan_path
 from modmckay.weights import (
@@ -25,6 +25,7 @@ from modmckay.weights import (
     weight_to_partition,
 )
 from conormal_oracle import _residue_sets
+from graph_oracle import all_pairs_distances
 from weights_oracle import cartan_matrix
 
 DIAMETER_TABLE = {

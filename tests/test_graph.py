@@ -1,11 +1,13 @@
+import hashlib
+
 import pytest
 
+import graph_oracle
 from modmckay import graph as graph_mod
 from modmckay.cli import main
 from modmckay.graph import (
     BudgetExceededError,
     CertifiedGraph,
-    all_pairs_distances,
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
@@ -109,7 +111,7 @@ def bfs_diameter(g):
     attaining pair in (source, target) order, and an error naming the
     first unreachable pair in that order."""
     best, witness = -1, None
-    for i, row in enumerate(all_pairs_distances(g)):
+    for i, row in enumerate(graph_oracle.all_pairs_distances(g)):
         for j, d in enumerate(row):
             if d is None:
                 raise BudgetExceededError(
@@ -178,6 +180,47 @@ class TestDiameter:
         assert captured.err.startswith("error:") and "20 bytes" in captured.err
         monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 20)
         assert subgraph_diameter(build_certified_graph(3, 3))[0] == 6
+        # The matrix also keeps bit_length(8) = 4 planes: 6 * 81 / 8 = 60 bytes.
+        monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 59)
+        code = main(["bfs", "--n", "3", "--p", "3", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "60 bytes" in captured.err
+        monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 60)
+        assert main(["bfs", "--n", "3", "--p", "3", "--format", "csv"]) == 0
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDistanceMatrix:
+    """The CSV from the successor-mask traversal against csv.writer over
+    per-source BFS rows, compared by digest."""
+
+    @pytest.mark.parametrize("n,p", ORACLE_SIZES)
+    def test_matches_bfs_oracle(self, n, p):
+        g = build_certified_graph(n, p)
+        assert sha256(distance_matrix_csv(g)) == sha256(graph_oracle.distance_matrix_csv(g))
+
+    def test_cells_wider_than_one_byte(self):
+        # (2, 257) is a path of 257 vertices: distances up to 256.
+        g = build_certified_graph(2, 257)
+        text = distance_matrix_csv(g)
+        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
+        assert max(int(cell) for line in text.splitlines()[1:] for cell in line.split(",")[1:]) == 256
+
+    def test_unreached_targets_are_empty_cells(self):
+        g = sink_graph()
+        text = distance_matrix_csv(g)
+        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
+        assert text.splitlines()[3] == "2,,,0,"
+
+    def test_single_vertex(self):
+        g = CertifiedGraph(n=2, p=2, vertices=((0,),), adjacency=((),))
+        text = distance_matrix_csv(g)
+        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
+        assert text == "source,0\r\n0,0\r\n"
 
 
 class TestExports:
