@@ -43,7 +43,6 @@ from .moves import (
 from .planner import (
     InvariantViolationError,
     PathPlan,
-    canonical_set,
     capital_M_of,
     ell,
     lambda_zero,
@@ -76,7 +75,6 @@ __all__ = [
     "block_form",
     "build_certified_graph",
     "canonical_path_char0",
-    "canonical_set",
     "capital_M_of",
     "certified_moves",
     "certify_via_conormal",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import xor
 
-from .moves import Move, certified_moves
+from .moves import Move, _successors
 from .planner import PathPlan
 from .weights import Weight, format_weight
 
@@ -96,11 +96,14 @@ def build_certified_graph(
     """Construct the certified subgraph for (n, p)."""
     vertices = tuple(enumerate_p_restricted(n, p, budget))
     index = {w: i for i, w in enumerate(vertices)}
+    # The enumerated vertices are p-restricted: step them unchecked.
     adjacency = tuple(
-        tuple((move, index[target]) for move, target in certified_moves(w, p))
+        tuple((move, index[target]) for move, target in _successors(w, p))
         for w in vertices
     )
-    return CertifiedGraph(n=n, p=p, vertices=vertices, adjacency=adjacency)
+    return CertifiedGraph(
+        n=n, p=p, vertices=vertices, adjacency=adjacency, _index=index
+    )
 
 
 def bfs_distances(g: CertifiedGraph, source: Weight) -> list[int | None]:

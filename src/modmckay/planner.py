@@ -7,11 +7,15 @@ zero-to-Steinberg path, and is driven by three statistics of the target:
 
 * ell(mu):  0 at the Steinberg weight, n at zero, otherwise the last
   position whose entry is below p-1;
-* s_mu(mu): 0 when mu lies on the canonical path with nothing but zeros
-  before position ell(mu), otherwise the last nonzero position before
-  ell(mu);
+* s_mu(mu): the last nonzero position before ell(mu), or 0 when there is
+  none;
 * M(mu):    mu itself when on the canonical path, otherwise the canonical
   weight with a 1 at s_mu, the entry mu_ell at ell(mu) and p-1 beyond.
+
+The canonical path's weights are zeros, at most one 1 before ell, the
+entry at ell, then p-1s; so mu is on it exactly when its entries before
+ell(mu) hold at most one nonzero value and that value is 1.  The planner
+tests that shape and never builds the path.
 
 The source and target are validated once, at the public boundary.  The
 walk is then recorded as run-length blocks ``(kind, at, k)``, and each
@@ -27,9 +31,13 @@ representative of x mod p-1 in {1, ..., p-1}):
 * clear_last x k: needs zeros before n-1 and a last entry >= k, which it
   lowers by k.
 
-The canonical path itself is such a walk: its stage j is travel(n-j) x
-(p-1), so from zero the planner reaches M(mu) by the same certified
-fills as from any weight with ell above ell(mu).
+The walk to M(mu) takes one of three routes, by how lam and mu compare:
+ell(lam) > ell(mu), which includes every zero source; mu ending in 0,
+which includes the zero target; and every other mu, whose entry at
+ell(mu) the sweep deposits.  The canonical path itself is such a walk:
+its stage j is travel(n-j) x (p-1), so from zero the planner reaches
+M(mu) by the same certified fills as from any weight with ell above
+ell(mu).
 
 The finished walk must end at the target within the length bound.  A
 failed check raises InvariantViolationError rather than being silently
@@ -49,7 +57,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
-from .char0 import canonical_path_char0
 from .moves import (
     _ADD_FIRST_MOVE,
     _CLEAR_LAST_MOVE,
@@ -87,34 +94,21 @@ def _ell(mu: Weight, p: int) -> int:
     return max((x for x, m in enumerate(mu, start=1) if m < p - 1), default=0)
 
 
-@lru_cache(maxsize=None)
-def canonical_set(n: int, p: int) -> frozenset[Weight]:
-    """Vertex set of the canonical zero-to-Steinberg path, memoized."""
-    return frozenset(canonical_path_char0(n, p))
-
-
 def s_mu(mu: Weight, p: int) -> int:
     """Last nonzero position strictly before ell(mu), or 0 when there is
-    none.  A weight with no such position must lie on the canonical path
-    (it is all zeros, then one entry, then p-1s); if not, something is
-    inconsistent and we refuse to guess."""
+    none."""
     return _statistics(require_restricted(mu, p), p)[1]
 
 
 def _statistics(mu: Weight, p: int) -> tuple[int, int, bool]:
     """ell(mu), s_mu(mu) and whether mu is on the canonical path, each
-    computed once."""
-    n = len(mu) + 1
+    computed once: on the path, the entries before ell(mu) hold at most
+    one nonzero value, a 1."""
     l = _ell(mu, p)
-    on_path = mu in canonical_set(n, p)
-    for x in range(min(l, n) - 1, 0, -1):
+    for x in range(l - 1, 0, -1):
         if mu[x - 1]:
-            return l, x, on_path
-    if not on_path:
-        raise InvariantViolationError(
-            f"weight {mu} has only zeros before position {l} but is not canonical"
-        )
-    return l, 0, on_path
+            return l, x, mu[x - 1] == 1 and not any(mu[: x - 1])
+    return l, 0, True
 
 
 def capital_M_of(mu: Weight, p: int) -> Weight:
@@ -123,15 +117,8 @@ def capital_M_of(mu: Weight, p: int) -> Weight:
     l, s, on_path = _statistics(require_restricted(mu, p), p)
     if on_path:
         return mu
-    n = len(mu) + 1
-    out = [0] * (n - 1)
-    out[s - 1] = 1
-    out[l - 1] = mu[l - 1]
-    out[l:] = [p - 1] * (n - 1 - l)
-    result = tuple(out)
-    if result not in canonical_set(n, p):
-        raise InvariantViolationError(f"constructed waypoint {result} is not canonical")
-    return result
+    # mu's entries after ell(mu) are p-1, by the definition of ell.
+    return (0,) * (s - 1) + (1,) + (0,) * (l - 1 - s) + mu[l - 1 :]
 
 
 def lambda_zero(lam: Weight, upto: int, r: int, p: int) -> int:
@@ -302,9 +289,9 @@ class _Builder:
 def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
     """A validated plan from lam to mu of length <= (p-1)(n^2-n)/2.
 
-    Route: bring lam onto the canonical waypoint M(mu) (four cases below),
-    then fill in mu's lower entries with path_from_M.  Equal weights give
-    the empty plan.
+    Route: bring lam onto the canonical waypoint M(mu) by one of three
+    routes (below), then fill in mu's lower entries with path_from_M.
+    Equal weights give the empty plan.
     """
     require_restricted(lam, p)
     require_restricted(mu, p)
@@ -313,16 +300,7 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
     n = len(lam) + 1
     b = _Builder(lam, p)
 
-    if lam == mu:
-        pass
-    elif not any(mu):
-        # Not covered by the ell-comparison cases (mu's entry at ell(mu)=n
-        # is out of range): normalize the running sum to 1, flush it to
-        # position n-1 and clear it off the end.
-        b.run(_TRAVEL, 1, _lambda_zero(lam, n - 1, 1, p))
-        b.sweep_below(n - 1)
-        b.run(CLEAR_LAST, n - 1)
-    else:
+    if lam != mu:
         l_mu, s, on_path = _statistics(mu, p)
         l_lam = _ell(lam, p)
         if l_lam > l_mu:
@@ -336,22 +314,20 @@ def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
                 b.fill(x, p - 1)
             if l_mu >= 1:
                 b.fill(l_mu, mu[l_mu - 1])
-        elif mu[l_mu - 1] != 0:
-            # ell(lam) <= ell(mu): sweeping below ell(mu) deposits exactly
-            # mu's entry there thanks to the congruence target.
-            b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, mu[l_mu - 1], p))
-            b.sweep_below(l_mu)
-        elif l_mu == n - 1:
-            # Target entry 0 at the last position: flush the sum to a 1
-            # there and clear it off the end.
+        elif mu[-1] == 0:
+            # mu is zero (ell(mu) = n, so the sum runs over all n-1 entries)
+            # or ends in 0 at ell(mu) = n-1: flush the sum to a 1 at the
+            # last position and clear it off the end.
             b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, 1, p))
             b.sweep_below(n - 1)
             b.run(CLEAR_LAST, n - 1)
         else:
-            # Target entry 0 strictly inside: sweep leaves 0 or p-1 at
-            # ell(mu); a p-1 is recycled into the (already p-1) entry
-            # beyond it, which wraps around and restores itself.
-            b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, 0, p))
+            # ell(lam) <= ell(mu) and mu ends in a nonzero entry: sweeping
+            # below ell(mu) deposits mu's entry there thanks to the
+            # congruence target, or p-1 where that entry is 0.  A p-1 (never
+            # mu's entry, which is below p-1) is recycled into the (already
+            # p-1) entry beyond it, which wraps around and restores itself.
+            b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, mu[l_mu - 1], p))
             b.sweep_below(l_mu)
             if b.cur[l_mu - 1] == p - 1:
                 b.run(CLEAR_FORWARD, l_mu, p - 1)

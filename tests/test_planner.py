@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import planner_oracle
 from graph_oracle import all_pairs_distances
 from modmckay import planner
+from modmckay.char0 import canonical_path_char0
 from modmckay.graph import build_certified_graph
 from modmckay.moves import (
     CLEAR_FORWARD,
@@ -21,7 +22,6 @@ from modmckay.moves import (
 )
 from modmckay.planner import (
     InvariantViolationError,
-    canonical_set,
     capital_M_of,
     ell,
     lambda_zero,
@@ -54,14 +54,14 @@ class TestEll:
 
 class TestCanonicalSet:
     def test_golden_path_vertex_count(self):
-        assert len(canonical_set(5, 2)) == 11
+        assert len(planner_oracle.canonical_set(5, 2)) == 11
 
     def test_n2_p3(self):
-        assert canonical_set(2, 3) == {(0,), (1,), (2,)}
+        assert planner_oracle.canonical_set(2, 3) == {(0,), (1,), (2,)}
 
     def test_endpoints_always_present(self):
         for n, p in [(2, 2), (3, 3), (4, 2), (5, 3)]:
-            M = canonical_set(n, p)
+            M = planner_oracle.canonical_set(n, p)
             assert (0,) * (n - 1) in M
             assert steinberg_weight(n, p) in M
 
@@ -69,7 +69,7 @@ class TestCanonicalSet:
 class TestSMu:
     def test_zero_on_canonical_tail_weights(self):
         for n, p in [(3, 3), (5, 2), (4, 3)]:
-            for mu in canonical_set(n, p):
+            for mu in planner_oracle.canonical_set(n, p):
                 l = ell(mu, p)
                 if all(mu[x - 1] == 0 for x in range(1, min(l, n))):
                     assert s_mu(mu, p) == 0
@@ -83,7 +83,7 @@ class TestSMu:
 
 class TestCapitalM:
     def test_members_fixed(self):
-        for mu in canonical_set(4, 3):
+        for mu in planner_oracle.canonical_set(4, 3):
             assert capital_M_of(mu, 3) == mu
 
     def test_constructed_waypoint(self):
@@ -95,7 +95,7 @@ class TestCapitalM:
     def test_always_lands_in_canonical_set(self):
         for n, p in [(3, 3), (4, 2), (4, 3), (5, 2)]:
             for mu in all_restricted(n, p):
-                assert capital_M_of(mu, p) in canonical_set(n, p)
+                assert capital_M_of(mu, p) in planner_oracle.canonical_set(n, p)
 
 
 class TestLambdaZero:
@@ -123,7 +123,7 @@ class TestLambdaZero:
 
 class TestPathFromM:
     def test_trivial_for_members(self):
-        for mu in canonical_set(3, 3):
+        for mu in planner_oracle.canonical_set(3, 3):
             assert path_from_M(mu, 3) == []
 
     def test_single_add(self):
@@ -135,7 +135,7 @@ class TestPathFromM:
     def test_length_formula(self):
         for n, p in [(3, 3), (4, 2), (4, 3), (5, 2), (3, 5)]:
             for mu in all_restricted(n, p):
-                if mu in canonical_set(n, p):
+                if mu in planner_oracle.canonical_set(n, p):
                     continue
                 s = s_mu(mu, p)
                 expected = (mu[s - 1] - 1) * s + sum(
@@ -238,6 +238,42 @@ def weight_pairs(draw, max_n=12, ends=False):
             st.just((0,) * (n - 1)), st.just(steinberg_weight(n, p)), weight
         )
     return draw(weight), draw(weight), p
+
+
+@st.composite
+def weights_near_the_path(draw, max_n=12):
+    """(mu, p): a waypoint of the canonical path of a rank n <= max_n, with
+    one entry possibly redrawn."""
+    n = draw(st.integers(2, max_n))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    mu = list(draw(st.sampled_from(canonical_path_char0(n, p))))
+    mu[draw(st.integers(0, n - 2))] = draw(st.integers(0, p - 1))
+    return tuple(mu), p
+
+
+class TestCanonicalMembership:
+    """planner._statistics tells canonical weights by their shape; the
+    oracle builds the path and looks them up."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 11, 13])
+    def test_every_vertex_up_to_3000(self, p):
+        n = 2
+        while p ** (n - 1) <= 3000:
+            canonical = planner_oracle.canonical_set(n, p)
+            for mu in all_restricted(n, p):
+                assert planner._statistics(mu, p)[2] == (mu in canonical)
+            n += 1
+
+    def test_every_waypoint_at_40_11(self):
+        for mu in canonical_path_char0(40, 11):
+            assert planner._statistics(mu, 11)[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(weights_near_the_path(), weight_pairs().map(lambda c: c[1:])))
+    def test_random_weights(self, case):
+        mu, p = case
+        expected = mu in planner_oracle.canonical_set(len(mu) + 1, p)
+        assert planner._statistics(mu, p)[2] == expected
 
 
 class TestPlanProperties:
@@ -398,3 +434,27 @@ class TestBlocksExpandToTheOracle:
     def test_longest_plan(self):
         plan = assert_same_as_oracle((0,) * 39, steinberg_weight(40, 11), 11)
         assert plan.length == 7800 == length_bound(40, 11)
+
+
+class TestRoutesAtScale:
+    """The zero target takes the route of targets that end in 0, and a 0
+    at ell(mu) < n-1 the route that deposits mu's entry and recycles a
+    p-1: plans on both routes at (40,11), from the Steinberg weight, move
+    for move against the oracle."""
+
+    steinberg = steinberg_weight(40, 11)
+
+    def test_to_zero(self):
+        plan = assert_same_as_oracle(self.steinberg, (0,) * 39, 11)
+        assert plan.blocks[-1] == (CLEAR_LAST, 39, 1)
+
+    def test_to_a_target_ending_in_zero(self):
+        mu = tuple(7 * i % 11 for i in range(1, 39)) + (0,)
+        plan = assert_same_as_oracle(self.steinberg, mu, 11)
+        assert (CLEAR_LAST, 39, 1) in plan.blocks
+
+    def test_recycle_at_an_inner_zero(self):
+        # ell(mu) = 6 < n-1, and the sweep leaves p-1 = 10 there.
+        mu = (3, 1, 4, 1, 5, 0) + (10,) * 33
+        plan = assert_same_as_oracle(self.steinberg, mu, 11)
+        assert (CLEAR_FORWARD, 6, 10) in plan.blocks
