@@ -57,7 +57,16 @@ from .moves import (
     first_nonzero_position,
     validate_move,
 )
-from .planner import InvariantViolationError, length_bound, plan_path
+from .planner import (
+    InvariantViolationError,
+    _Builder,
+    _from_waypoint,
+    _to_waypoint,
+    _waypoint,
+    _waypoint_key,
+    length_bound,
+    plan_path,
+)
 from .weights import (
     Weight,
     f_value,
@@ -410,24 +419,32 @@ def _cmd_diameter(args):
 @_command("verify", "run the acceptance checks for (n, p)", "p", "vertex-budget",
           formats=("text", "json"), needs_n=True)
 def _cmd_verify(args):
-    scope, lines, ok = run_verification(args.n, args.p, args.budget)
+    summary, lines, ok = run_verification(args.n, args.p, args.budget)
     payload = {
         "n": args.n,
         "p": args.p,
-        **scope,
+        **summary,
         "checks": [{"name": name, "ok": good} for name, good in lines],
         "ok": ok,
     }
 
     def text() -> str:
-        if scope["seed"] is None:
-            pairs = f"all {scope['pairs']} ordered pairs"
+        if summary["seed"] is None:
+            pairs = f"all {summary['pairs']} ordered pairs"
         else:
-            pairs = f"{scope['pairs'] - 1} sampled pairs (seed {scope['seed']}) plus (0,St)"
+            pairs = f"{summary['pairs'] - 1} sampled pairs (seed {summary['seed']}) plus (0,St)"
+        if summary["optimal_pairs"] is None:
+            gap = "not measured, the planner check failed"
+        else:
+            gap = (
+                f"{summary['optimal_pairs']} of {summary['pairs']} pairs optimal, "
+                f"worst {summary['worst_gap']}, mean {summary['mean_gap']:.2f}"
+            )
         width = max(len(name) for name, _ in lines)
         out = (
-            f"verify n={args.n} p={args.p}: {scope['vertices']} vertices, "
+            f"verify n={args.n} p={args.p}: {summary['vertices']} vertices, "
             f"planner checked on {pairs}\n"
+            f"plan length minus BFS distance: {gap}\n"
         ) + "".join(
             f"{'PASS' if good else 'FAIL'}  {name.ljust(width)}\n"
             for name, good in lines
@@ -437,12 +454,20 @@ def _cmd_verify(args):
     return payload, {"text": text}, 0 if ok else 1
 
 
+# verify plans every ordered pair of an instance with at most this many
+# vertices, and a seeded sample of pairs above it.
+_EXHAUSTIVE_VERTICES = 1024
+
+
 def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str, bool]], bool]:
-    """What was checked, the acceptance checks for a single (n, p) as
-    (name, ok) pairs, and whether all of them passed.  What was checked is
-    the vertex count, the planner's pair mode ("exhaustive" or "sampled"),
-    the number of pairs planned and the sample's seed (None when
-    exhaustive).
+    """A summary, the acceptance checks for a single (n, p) as (name, ok)
+    pairs, and whether all of them passed.  The summary says what was
+    checked: the vertex count, the planner's pair mode ("exhaustive" or
+    "sampled"), the number of pairs planned and the sample's seed (None
+    when exhaustive).  It also says how far the plans are from shortest,
+    over the planned pairs: how many plans are shortest paths, and the
+    worst and mean of plan length minus BFS distance (all three None when
+    the planner check fails).
 
     The verification scope is the certified subgraph: its edges are a
     subset of the true McKay graph's, and the extremal distance from zero
@@ -475,21 +500,28 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     checks.append(("strongly connected", connected))
     checks.append(("diameter equals (p-1)(n^2-n)/2", diam == bound))
 
-    if len(g.vertices) <= 256:
-        pairs = [(a, b) for a in g.vertices for b in g.vertices]
+    # The planned pairs, as each source's vertex index mapped to the
+    # indices of its targets.
+    if len(g.vertices) <= _EXHAUSTIVE_VERTICES:
+        everyone = range(len(g.vertices))
+        pairs = dict.fromkeys(everyone, everyone)
         mode, seed = "exhaustive", None
     else:
         seed = 20260811
         rng = random.Random(seed)
-        pairs = [
-            (rng.choice(g.vertices), rng.choice(g.vertices)) for _ in range(300)
-        ]
-        pairs += [(zero, st)]
+        sample = [(rng.choice(g.vertices), rng.choice(g.vertices)) for _ in range(300)]
+        pairs = {}
+        for a, b in sample + [(zero, st)]:
+            pairs.setdefault(g.index_of(a), []).append(g.index_of(b))
         mode = "sampled"
-    scope = {"vertices": len(g.vertices), "pair_mode": mode, "pairs": len(pairs), "seed": seed}
-    # One BFS row per distinct source of the planned pairs, zero among them.
-    rows = {a: bfs_distances(g, a) for a in dict.fromkeys(a for a, _ in pairs)}
-    checks.append(("d(0,St) equals the bound", rows[zero][g.index_of(st)] == bound))
+    summary = {
+        "vertices": len(g.vertices),
+        "pair_mode": mode,
+        "pairs": sum(len(js) for js in pairs.values()),
+        "seed": seed,
+    }
+    zero_row = bfs_distances(g, zero)
+    checks.append(("d(0,St) equals the bound", zero_row[g.index_of(st)] == bound))
 
     path = canonical_path_char0(n, p)
     canonical_ok = len(path) - 1 == bound and path[0] == zero and path[-1] == st
@@ -515,21 +547,12 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     checks.append(("index 1 and 1+a_1 conormal at every vertex", conormal_ok))
     checks.append(("every certified move certified via conormal", certify_ok))
 
-    planner_ok = True
-    equality_ok = True
-    for a, b in pairs:
-        try:
-            plan = plan_path(a, b, p)
-        except InvariantViolationError:
-            planner_ok = False
-            continue
-        d = rows[a][g.index_of(b)]
-        if plan.length > bound or (d is not None and plan.length < d):
-            planner_ok = False
-        if a == zero and b == st and plan.length != bound:
-            equality_ok = False
+    # One BFS row per source; zero, vertex 0 in lexicographic order, has one.
+    rows = (zero_row if i == 0 else bfs_distances(g, g.vertices[i]) for i in pairs)
+    planner_ok, equality_ok, gaps = _check_plans(g, pairs, rows)
     checks.append(("planner valid, admissible, within bound", planner_ok))
     checks.append(("plan(0,St) meets the bound exactly", equality_ok))
+    summary.update(gaps)
 
     if bound <= 12:
         checks.append(
@@ -539,7 +562,89 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
             )
         )
 
-    return scope, checks, all(ok for _, ok in checks)
+    return summary, checks, all(ok for _, ok in checks)
+
+
+def _walk_length(start: Weight, end: Weight, p: int, walk: Callable, *args) -> int | None:
+    """The length of ``walk(builder, *args)`` from ``start`` when the
+    builder certifies each of its blocks and it ends at ``end``; else None."""
+    b = _Builder(start, p)
+    try:
+        walk(b, *args)
+    except InvariantViolationError:
+        return None
+    return b.length if tuple(b.cur) == end else None
+
+
+def _check_plans(g, pairs: dict, rows) -> tuple[bool, bool, dict]:
+    """Whether the plan of every pair in ``pairs`` (source index -> target
+    indices) is a certified walk within the bound and no shorter than its
+    BFS distance (``rows`` yields each source's row, in the order of
+    ``pairs``); whether plan(0,St) meets the bound; and the gap figures.
+
+    Nothing is planned pair by pair.  The plan from lam to mu != lam is
+    the prefix lam -> K(key(mu)) (planner._to_waypoint), then the suffix
+    K(mu) -> mu (planner._from_waypoint).  So one suffix per target and one
+    prefix per source and key, each certified block by block and checked
+    to end where it must, certify every plan: two walks, the second
+    starting where the first ends, make a walk.
+    """
+    n, p, vertices = g.n, g.p, g.vertices
+    bound = length_bound(n, p)
+    waypoints: dict[tuple, Weight] = {}  # key -> K
+    suffixes: dict[int, tuple[tuple, int | None]] = {}  # target -> (key, length)
+    ok = True
+    optimal = worst = total = 0
+    for (i, js), dist in zip(pairs.items(), rows):
+        lam = vertices[i]
+        prefixes: dict[tuple, int | None] = {}
+        for j in js:
+            if j == i:  # the empty plan
+                optimal += 1
+                continue
+            suffix = suffixes.get(j)
+            if suffix is None:
+                mu = vertices[j]
+                key = _waypoint_key(mu, p)
+                if key not in waypoints:
+                    waypoints[key] = _waypoint(key, n, p)
+                suffix = suffixes[j] = (
+                    key, _walk_length(waypoints[key], mu, p, _from_waypoint, mu)
+                )
+            key, tail = suffix
+            head = prefixes.get(key, -1)  # -1: not walked yet
+            if head == -1:
+                head = prefixes[key] = _walk_length(
+                    lam, waypoints[key], p, _to_waypoint, lam, key
+                )
+            d = dist[j]
+            # A certified walk reaches its target, so BFS must reach it too.
+            if head is None or tail is None or d is None:
+                ok = False
+                continue
+            length = head + tail
+            gap = length - d
+            if gap < 0 or length > bound:
+                ok = False
+            total += gap
+            if gap == 0:
+                optimal += 1
+            elif gap > worst:
+                worst = gap
+
+    # Vertices are in lexicographic order: zero first, Steinberg last, and
+    # (zero, Steinberg) is a planned pair.
+    key, tail = suffixes[len(vertices) - 1]
+    head = _walk_length(vertices[0], waypoints[key], p, _to_waypoint, vertices[0], key)
+    exact = head is not None and tail is not None and head + tail == bound
+    if not ok:
+        return ok, exact, dict.fromkeys(("optimal_pairs", "worst_gap", "mean_gap"))
+    count = sum(len(js) for js in pairs.values())
+    return ok, exact, {
+        "optimal_pairs": optimal,
+        "worst_gap": worst,
+        "mean_gap": round(total / count, 4),
+    }
 
 
 # ----------------------------------------------------------------- parser

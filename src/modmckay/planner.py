@@ -10,7 +10,9 @@ zero-to-Steinberg path, and is driven by three statistics of the target:
 * s_mu(mu): the last nonzero position before ell(mu), or 0 when there is
   none;
 * M(mu):    mu itself when on the canonical path, otherwise the canonical
-  weight with a 1 at s_mu, the entry mu_ell at ell(mu) and p-1 beyond.
+  weight with a 1 at s_mu, the entry mu_ell at ell(mu) and p-1 beyond;
+* K(mu):    M(mu) without its seed 1 at s_mu: zeros below ell(mu), mu_ell
+  at ell(mu) and p-1 beyond.
 
 The canonical path's weights are zeros, at most one 1 before ell, the
 entry at ell, then p-1s; so mu is on it exactly when its entries before
@@ -31,13 +33,16 @@ representative of x mod p-1 in {1, ..., p-1}):
 * clear_last x k: needs zeros before n-1 and a last entry >= k, which it
   lowers by k.
 
-The walk to M(mu) takes one of three routes, by how lam and mu compare:
-ell(lam) > ell(mu), which includes every zero source; mu ending in 0,
-which includes the zero target; and every other mu, whose entry at
-ell(mu) the sweep deposits.  The canonical path itself is such a walk:
-its stage j is travel(n-j) x (p-1), so from zero the planner reaches
-M(mu) by the same certified fills as from any weight with ell above
-ell(mu).
+Every plan factors through K(mu).  The walk to K(mu) takes one of three
+routes, by how lam and mu compare: ell(lam) > ell(mu), which includes
+every zero source; mu ending in 0, which includes the zero target; and
+every other mu, whose entry at ell(mu) the sweep deposits.  It reads mu
+only through its key (ell(mu), mu_ell, whether mu ends in 0), and the
+walk on from K(mu) reads nothing of lam; so ``verify`` certifies one
+prefix per source and key and one suffix per target instead of a plan
+per pair.  The canonical path itself is such a walk: its stage j is
+travel(n-j) x (p-1), so from zero the planner reaches K(mu) by the same
+certified fills as from any weight with ell above ell(mu).
 
 The finished walk must end at the target within the length bound.  A
 failed check raises InvariantViolationError rather than being silently
@@ -289,56 +294,81 @@ class _Builder:
 def plan_path(lam: Weight, mu: Weight, p: int) -> PathPlan:
     """A validated plan from lam to mu of length <= (p-1)(n^2-n)/2.
 
-    Route: bring lam onto the canonical waypoint M(mu) by one of three
-    routes (below), then fill in mu's lower entries with path_from_M.
-    Equal weights give the empty plan.
+    Route: bring lam onto the waypoint K(mu) by one of three routes (see
+    _to_waypoint), then seed M(mu) and fill in mu's lower entries (see
+    _from_waypoint).  Equal weights give the empty plan.
     """
     require_restricted(lam, p)
     require_restricted(mu, p)
     if len(lam) != len(mu):
         raise ValueError(f"rank mismatch: {len(lam) + 1} vs {len(mu) + 1}")
-    n = len(lam) + 1
     b = _Builder(lam, p)
-
     if lam != mu:
-        l_mu, s, on_path = _statistics(mu, p)
-        l_lam = _ell(lam, p)
-        if l_lam > l_mu:
-            # Zero out everything below ell(lam) (the congruence makes the
-            # swept entry land on p-1 or stay 0), then top up positions
-            # ell(lam)..ell(mu)+1 to p-1 and set mu's entry at ell(mu).
-            # From zero, where ell is n, this rides the canonical path.
-            b.run(_TRAVEL, 1, _lambda_zero(lam, l_lam, 0, p))
-            b.sweep_below(l_lam)
-            for x in range(min(l_lam, n - 1), l_mu, -1):
-                b.fill(x, p - 1)
-            if l_mu >= 1:
-                b.fill(l_mu, mu[l_mu - 1])
-        elif mu[-1] == 0:
-            # mu is zero (ell(mu) = n, so the sum runs over all n-1 entries)
-            # or ends in 0 at ell(mu) = n-1: flush the sum to a 1 at the
-            # last position and clear it off the end.
-            b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, 1, p))
-            b.sweep_below(n - 1)
-            b.run(CLEAR_LAST, n - 1)
-        else:
-            # ell(lam) <= ell(mu) and mu ends in a nonzero entry: sweeping
-            # below ell(mu) deposits mu's entry there thanks to the
-            # congruence target, or p-1 where that entry is 0.  A p-1 (never
-            # mu's entry, which is below p-1) is recycled into the (already
-            # p-1) entry beyond it, which wraps around and restores itself.
-            b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, mu[l_mu - 1], p))
-            b.sweep_below(l_mu)
-            if b.cur[l_mu - 1] == p - 1:
-                b.run(CLEAR_FORWARD, l_mu, p - 1)
-        # Seed the 1 at s_mu, which completes M(mu), then fill in below.
-        if s >= 1:
-            b.run(_TRAVEL, s)
-        if not on_path:
-            for x, k in _travels_from_M(mu, s):
-                b.run(_TRAVEL, x, k)
+        _to_waypoint(b, lam, _waypoint_key(mu, p))
+        _from_waypoint(b, mu)
+    return _finish(b, len(lam) + 1, p, lam, mu)
 
-    return _finish(b, n, p, lam, mu)
+
+def _waypoint_key(mu: Weight, p: int) -> tuple[int, int | None, bool]:
+    """All that the walk to K(mu) reads of mu: ell(mu), mu's entry there
+    when 1 <= ell(mu) <= n-1 (else None), and whether mu ends in 0."""
+    l = _ell(mu, p)
+    return l, mu[l - 1] if 1 <= l <= len(mu) else None, mu[-1] == 0
+
+
+def _waypoint(key: tuple[int, int | None, bool], n: int, p: int) -> Weight:
+    """K of the targets with this key: zeros below ell, the key's entry at
+    ell, and p-1 above; M(mu) is K(mu) with the seed 1 at s_mu."""
+    l, entry, _ = key
+    return tuple(0 if x < l else entry if x == l else p - 1 for x in range(1, n))
+
+
+def _to_waypoint(b: _Builder, lam: Weight, key: tuple[int, int | None, bool]) -> None:
+    """Walk the builder from lam, its current weight, to K of the targets
+    with this key, by the route that ell(lam) and the key select."""
+    l_mu, entry, ends_in_zero = key
+    p = b.p
+    n = len(lam) + 1
+    l_lam = _ell(lam, p)
+    if l_lam > l_mu:
+        # Zero out everything below ell(lam) (the congruence makes the
+        # swept entry land on p-1 or stay 0), then top up positions
+        # ell(lam)..ell(mu)+1 to p-1 and set mu's entry at ell(mu).
+        # From zero, where ell is n, this rides the canonical path.
+        b.run(_TRAVEL, 1, _lambda_zero(lam, l_lam, 0, p))
+        b.sweep_below(l_lam)
+        for x in range(min(l_lam, n - 1), l_mu, -1):
+            b.fill(x, p - 1)
+        if l_mu >= 1:
+            b.fill(l_mu, entry)
+    elif ends_in_zero:
+        # mu is zero (ell(mu) = n, so the sum runs over all n-1 entries)
+        # or ends in 0 at ell(mu) = n-1: flush the sum to a 1 at the
+        # last position and clear it off the end.
+        b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, 1, p))
+        b.sweep_below(n - 1)
+        b.run(CLEAR_LAST, n - 1)
+    else:
+        # ell(lam) <= ell(mu) and mu ends in a nonzero entry: sweeping
+        # below ell(mu) deposits mu's entry there thanks to the
+        # congruence target, or p-1 where that entry is 0.  A p-1 (never
+        # mu's entry, which is below p-1) is recycled into the (already
+        # p-1) entry beyond it, which wraps around and restores itself.
+        b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, entry, p))
+        b.sweep_below(l_mu)
+        if b.cur[l_mu - 1] == p - 1:
+            b.run(CLEAR_FORWARD, l_mu, p - 1)
+
+
+def _from_waypoint(b: _Builder, mu: Weight) -> None:
+    """Walk the builder from K(mu) to mu: seed the 1 at s_mu, which
+    completes M(mu), then fill in below it (path_from_M)."""
+    _, s, on_path = _statistics(mu, b.p)
+    if s >= 1:
+        b.run(_TRAVEL, s)
+    if not on_path:
+        for x, k in _travels_from_M(mu, s):
+            b.run(_TRAVEL, x, k)
 
 
 def _finish(b: _Builder, n: int, p: int, lam: Weight, mu: Weight) -> PathPlan:

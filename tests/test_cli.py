@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modmckay import cli
+from modmckay import cli, planner
 from modmckay import graph as graph_mod
 from modmckay.cli import main
 from modmckay.moves import Move
@@ -134,18 +134,50 @@ class TestVerifyCommand:
         assert out.splitlines()[0] == (
             "verify n=3 p=2: 4 vertices, planner checked on all 16 ordered pairs"
         )
-        _, out, _ = run(capsys, "verify", "--n", "3", "--p", "17")
+        # 1,369 vertices, above the exhaustive limit of 1,024.
+        _, out, _ = run(capsys, "verify", "--n", "3", "--p", "37")
         assert out.splitlines()[0] == (
-            "verify n=3 p=17: 289 vertices, planner checked on 300 sampled pairs "
+            "verify n=3 p=37: 1369 vertices, planner checked on 300 sampled pairs "
             "(seed 20260811) plus (0,St)"
         )
         # The JSON carries the same scope.
         scopes = []
-        for p in ("2", "17"):
+        for p in ("2", "37"):
             _, out, _ = run(capsys, "verify", "--n", "3", "--p", p, "--format", "json")
             payload = json.loads(out)
             scopes.append(tuple(payload[key] for key in ("vertices", "pair_mode", "pairs", "seed")))
-        assert scopes == [(4, "exhaustive", 16, None), (289, "sampled", 301, 20260811)]
+        assert scopes == [(4, "exhaustive", 16, None), (1369, "sampled", 301, 20260811)]
+
+    @pytest.mark.parametrize("limit, mode", [(9, "exhaustive"), (8, "sampled")])
+    def test_exhaustive_up_to_the_vertex_limit(self, capsys, monkeypatch, limit, mode):
+        monkeypatch.setattr(cli, "_EXHAUSTIVE_VERTICES", limit)
+        _, out, _ = run(capsys, "verify", "--n", "3", "--p", "3", "--format", "json")
+        assert json.loads(out)["pair_mode"] == mode
+
+    def test_every_pair_at_729_vertices(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "7", "--p", "3", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True
+        assert (payload["pair_mode"], payload["pairs"]) == ("exhaustive", 729 * 729)
+
+    @pytest.mark.parametrize(
+        "n, p, optimal, worst, mean",
+        [(5, 3, 3589, 18, 2.11), (4, 5, 8302, 20, 3.06), (6, 3, 31869, 28, 2.95)],
+    )
+    def test_gap_figures(self, capsys, n, p, optimal, worst, mean):
+        # The planner's distance from shortest over every ordered pair, as
+        # measured against BFS before verify reported it.
+        pairs = p ** (2 * (n - 1))
+        _, out, _ = run(capsys, "verify", "--n", str(n), "--p", str(p), "--format", "json")
+        payload = json.loads(out)
+        got = tuple(payload[key] for key in ("pairs", "optimal_pairs", "worst_gap"))
+        assert got == (pairs, optimal, worst)
+        assert round(payload["mean_gap"], 2) == mean
+        _, out, _ = run(capsys, "verify", "--n", str(n), "--p", str(p))
+        assert out.splitlines()[1] == (
+            f"plan length minus BFS distance: {optimal} of {pairs} pairs optimal, "
+            f"worst {worst}, mean {mean:.2f}"
+        )
 
     def test_verify_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--p", "3", "--format", "json")
@@ -155,20 +187,55 @@ class TestVerifyCommand:
         assert all(check["ok"] for check in payload["checks"])
 
     def test_planner_invariant_violation_fails_check(self, capsys, monkeypatch):
-        def broken(lam, mu, p):
+        def broken(b, lam, key):
             raise InvariantViolationError("plan ends at (1,), wanted (0,)")
 
-        monkeypatch.setattr(cli, "plan_path", broken)
-        code, out, _ = run(capsys, "verify", "--n", "2", "--p", "3")
-        assert code == 1
+        monkeypatch.setattr(cli, "_to_waypoint", broken)
+        code, out, err = run(capsys, "verify", "--n", "2", "--p", "3")
+        assert code == 1 and err == ""
         assert "FAIL  planner valid, admissible, within bound" in out
         assert out.endswith("some checks FAILED\n")
 
+    @pytest.mark.parametrize("half", ["prefix", "suffix"])
+    def test_a_wrong_walk_fails_the_planner_line(self, capsys, monkeypatch, half):
+        if half == "suffix":
+            # Drop the last travel run that fills in a target's lower entries.
+            real = planner._travels_from_M
+            monkeypatch.setattr(planner, "_travels_from_M", lambda mu, s: real(mu, s)[:-1])
+        else:
+            # Aim the first sweep at the wrong residue.
+            real = planner._lambda_zero
+            monkeypatch.setattr(
+                planner, "_lambda_zero", lambda lam, upto, r, p: real(lam, upto, r + 1, p)
+            )
+        code, out, err = run(capsys, "verify", "--n", "4", "--p", "3")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[1] == "plan length minus BFS distance: not measured, the planner check failed"
+        assert "FAIL  planner valid, admissible, within bound" in out
+        assert lines[-1] == "some checks FAILED"
+
+    @pytest.mark.parametrize("factor", [0, 10])
+    def test_a_miscounted_length_fails_the_planner_line(self, capsys, monkeypatch, factor):
+        # Walks of length 0 undercut the BFS distance; ten times their
+        # length, the longest overruns the bound.
+        real = planner._Builder.run
+
+        def miscounting(b, kind, at, k=1):
+            before = b.length
+            real(b, kind, at, k)
+            b.length = before + factor * (b.length - before)
+
+        monkeypatch.setattr(planner._Builder, "run", miscounting)
+        code, out, err = run(capsys, "verify", "--n", "3", "--p", "3")
+        assert code == 1 and err == ""
+        assert "FAIL  planner valid, admissible, within bound" in out
+
     def test_planner_bug_propagates(self, capsys, monkeypatch):
-        def broken(lam, mu, p):
+        def broken(b, mu):
             raise RuntimeError("planner bug")
 
-        monkeypatch.setattr(cli, "plan_path", broken)
+        monkeypatch.setattr(cli, "_from_waypoint", broken)
         with pytest.raises(RuntimeError, match="planner bug"):
             main(["verify", "--n", "2", "--p", "3"])
 
@@ -190,10 +257,10 @@ class TestVerifyCommand:
             return graph_mod.bfs_distances(g, source)
 
         monkeypatch.setattr(cli, "bfs_distances", counting)
-        # 289 vertices: verify samples 300 pairs plus (zero, Steinberg).
-        code, _, _ = run(capsys, "verify", "--n", "3", "--p", "17")
+        # 1,369 vertices: verify samples 300 pairs plus (zero, Steinberg).
+        code, _, _ = run(capsys, "verify", "--n", "3", "--p", "37")
         assert code == 0
-        assert len(sources) == len(set(sources)) < 289
+        assert len(sources) == len(set(sources)) < 1369
         assert (0, 0) in sources
 
 

@@ -68,10 +68,11 @@ GOLDEN = [
     ('diameter --n 3 --p 3', 0, '06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7', ''),
     ('diameter --n 4 --p 5 --format json', 0, 'b6e6bc8e867f21c41785cb3ff009bce01f4f953f19bc9984759d3435cc725495', ''),
     ('diameter --n 2 --p 4 --allow-nonprime --format json', 0, '376598a5a7be68dfcbba747e84123202f8a2b7b7eafa9576f3f94c539bb0b17b', ''),
-    ('verify --n 3 --p 3', 0, 'f84423de05c4e262d04ef42e3d196bf8cfe3390dad7cd51f9fee10c698d19fd5', ''),
-    ('verify --n 3 --p 3 --format json', 0, 'dba5c0e90c354a7b3f08d7c8eea690325e67f0eb38a7a2d483578656dfa83fdb', ''),
-    ('verify --n 2 --p 2', 0, '3595a5598681b31d7d712ec0fc553c93e11744b2c889e8c7a9d1beb58a3006f5', ''),
-    ('verify --n 3 --p 17 --format json', 0, '4f2779cdcf47be34994a4775deeaae08d4b50cc86221e33f6fbaf23c2d58ce10', ''),
+    ('verify --n 3 --p 3', 0, '0eb42871fecce28905849a17676985088357a140da7e53edbd25b819d1c94148', ''),
+    ('verify --n 3 --p 3 --format json', 0, 'c59e494184b84012b9d7f93437bb53a07bcb1a76b526e88dc439eaa704c1c965', ''),
+    ('verify --n 2 --p 2', 0, '165beab348965926dbfa10a7f3bab5942c11ac2db6fb4028aab6e73921101ba6', ''),
+    ('verify --n 3 --p 17 --format json', 0, 'a8c453dcc2a0bd9bd253234cd7d90bff5189a3446f9da14f7def7c0ecd8671fb', ''),
+    ('verify --n 3 --p 37 --format json', 0, '01df1f62a50c91cf639e45ddbb1281e00e3acb476932d1edb0e2c0c375be75f6', ''),
     ('diameter --p 3', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: diameter needs --n\n'),
     ('canonical-path --p 3', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: canonical-path needs --n\n'),
     ('graph --p 3 --format json', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: graph needs --n\n'),

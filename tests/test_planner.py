@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import planner_oracle
 from graph_oracle import all_pairs_distances
-from modmckay import planner
+from modmckay import cli, planner
 from modmckay.char0 import canonical_path_char0
-from modmckay.graph import build_certified_graph
+from modmckay.graph import bfs_distances, build_certified_graph
 from modmckay.moves import (
     CLEAR_FORWARD,
     CLEAR_LAST,
@@ -458,3 +458,83 @@ class TestRoutesAtScale:
         mu = (3, 1, 4, 1, 5, 0) + (10,) * 33
         plan = assert_same_as_oracle(self.steinberg, mu, 11)
         assert (CLEAR_FORWARD, 6, 10) in plan.blocks
+
+
+def halves(lam, mu, p):
+    """K(key(mu)), the builder of the prefix from lam and that of the
+    suffix from K(mu), each walked on its own."""
+    key = planner._waypoint_key(mu, p)
+    waypoint = planner._waypoint(key, len(mu) + 1, p)
+    head = planner._Builder(lam, p)
+    planner._to_waypoint(head, lam, key)
+    tail = planner._Builder(waypoint, p)
+    planner._from_waypoint(tail, mu)
+    return waypoint, head, tail
+
+
+def assert_factors(lam, mu, p):
+    waypoint, head, tail = halves(lam, mu, p)
+    assert tuple(head.cur) == waypoint  # whatever lam is
+    assert tuple(tail.cur) == mu
+    plan = plan_path(lam, mu, p)
+    assert plan.blocks == tuple(head.blocks + tail.blocks)
+    assert plan.length == head.length + tail.length
+
+
+class TestFactorization:
+    """Every plan from lam to mu != lam is the prefix lam -> K(key(mu)),
+    which reads mu only through its key, then the suffix K(mu) -> mu,
+    which reads nothing of lam; verify certifies plans this way."""
+
+    @pytest.mark.parametrize(
+        "n, p", [(3, 5), (5, 3), (4, 5), (3, 7), (6, 3), (2, 7), (3, 2), (4, 2)]
+    )
+    def test_every_ordered_pair(self, n, p):
+        weights = all_restricted(n, p)
+        for lam in weights:
+            for mu in weights:
+                if lam != mu:
+                    assert_factors(lam, mu, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_pairs(ends=True))
+    def test_random_pairs(self, case):
+        lam, mu, p = case
+        if lam != mu:
+            assert_factors(lam, mu, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_pairs(ends=True).map(lambda c: c[1:]))
+    def test_waypoint_is_M_without_its_seed(self, case):
+        mu, p = case
+        expected = list(capital_M_of(mu, p))
+        s = s_mu(mu, p)
+        if s:
+            expected[s - 1] -= 1
+        key = planner._waypoint_key(mu, p)
+        assert planner._waypoint(key, len(mu) + 1, p) == tuple(expected)
+
+
+@pytest.mark.parametrize("n, p", [(3, 5), (5, 3), (4, 5), (2, 7), (3, 2), (4, 2)])
+def test_verification_matches_a_per_pair_loop(n, p):
+    """verify's planner lines and gap figures, from prefixes and suffixes,
+    against a plan_path per ordered pair."""
+    summary, checks, _ = cli.run_verification(n, p, 10**6)
+    g = build_certified_graph(n, p)
+    bound = length_bound(n, p)
+    ok, gaps = True, []
+    for lam in g.vertices:
+        row = bfs_distances(g, lam)
+        for mu, d in zip(g.vertices, row):
+            length = plan_path(lam, mu, p).length
+            ok = ok and d <= length <= bound
+            gaps.append(length - d)
+    zero, st = g.vertices[0], g.vertices[-1]
+    assert dict(checks)["planner valid, admissible, within bound"] is ok is True
+    assert dict(checks)["plan(0,St) meets the bound exactly"] is (
+        plan_path(zero, st, p).length == bound
+    )
+    assert (summary["pairs"], summary["optimal_pairs"], summary["worst_gap"]) == (
+        len(gaps), gaps.count(0), max(gaps)
+    )
+    assert summary["mean_gap"] == round(sum(gaps) / len(gaps), 4)
