@@ -17,10 +17,11 @@ by ``_encode`` into one list of pieces.  With an indent, ``json.dumps``
 runs the stdlib's pure-Python encoder; here scalars go through its C
 encoder instead, and so does a list of numbers, booleans and nulls or a
 list of rows of them: one C call for the whole list, re-indented by
-whole-string replaces, so a plan's thousands of waypoints, a graph's
-vertices or a canonical path cost one C call.  A dict that a list holds
-more than once, such as a plan's move label, is rendered once and its
-text reused.
+whole-string replaces, so a graph's vertices or a canonical path cost
+one C call.  A plan renders from its run-length blocks, never through
+its to_json_dict: each distinct move label once, a block as its unit's
+text repeated, and each waypoint row from cached cells, one per entry
+value, of which each move replaces only those of the entries it changes.
 
 Exit codes: 0 success; 1 verification failure (``verify``,
 ``validate``) or a planner invariant violation, reported as ``error:``
@@ -37,6 +38,7 @@ import math
 import random
 import sys
 from collections.abc import Callable
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -59,9 +61,12 @@ from .moves import (
 )
 from .planner import (
     InvariantViolationError,
+    PathPlan,
     _Builder,
+    _changes,
     _from_waypoint,
     _to_waypoint,
+    _unit,
     _waypoint,
     _waypoint_key,
     length_bound,
@@ -183,8 +188,7 @@ def _encode(obj, indent: str, append) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
     ``indent`` (a newline and the spaces of the enclosing level).  Lists
     of numbers, and lists of rows of them, take one C-encoder call each
-    (``_bulk``).  A dict that a list holds more than once is rendered once
-    and its text reused."""
+    (``_bulk``); a plan renders from its blocks (``_plan_json``)."""
     if isinstance(obj, _SCALARS):
         append(_compact(obj))
     elif isinstance(obj, (list, tuple)):
@@ -197,48 +201,84 @@ def _encode(obj, indent: str, append) -> None:
             if text is not None:
                 append(text)
                 return
-        memo: dict[int, str] = {}
         sep = "[" + inner
         for item in obj:
             append(sep)
             sep = "," + inner
-            # A dict held once has three references here: its slot, ``item``
-            # and getrefcount's argument.  Only one with more can repeat, so
-            # items that never repeat cost the memo nothing.
-            if type(item) is dict and sys.getrefcount(item) > 3:
-                text = memo.get(id(item))
-                if text is None:
-                    pieces: list[str] = []
-                    _encode(item, inner, pieces.append)
-                    text = memo[id(item)] = "".join(pieces)
-                append(text)
-            else:
-                _encode(item, inner, append)
+            _encode(item, inner, append)
         append(indent + "]")
     elif isinstance(obj, dict):
         if not obj:
             append("{}")
             return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            head = sep + _key(key) + ": "
-            fast = _FAST.get(type(value))
-            if fast is not None:
-                append(head + fast(value))
-            else:
-                append(head)
-                _encode(value, inner, append)
-            sep = "," + inner
+        _members(obj.items(), indent + "  ", append)
         append(indent + "}")
+    elif type(obj) is PathPlan:
+        _plan_json(obj, indent, append)
     else:
         _encode(obj.to_json_dict(), indent, append)
 
 
+def _members(items, inner: str, append) -> None:
+    """Append a nonempty dict's (key, value) ``items`` at the member
+    indent ``inner``, the first after "{", the others after ","."""
+    sep = "{" + inner
+    for key, value in items:
+        head = sep + _key(key) + ": "
+        fast = _FAST.get(type(value))
+        if fast is not None:
+            append(head + fast(value))
+        else:
+            append(head)
+            _encode(value, inner, append)
+        sep = "," + inner
+
+
+def _plan_json(plan: PathPlan, indent: str, append) -> None:
+    """Append the pieces of ``json.dumps(plan.to_json_dict(), indent=2)``
+    nested at ``indent``, rendered from the plan's blocks.  Each distinct
+    move's label is rendered once, and a block ``(kind, at, k)`` is the
+    text of its unit (planner._unit) joined k times.  A waypoint row is a
+    list of cells, one string per entry value; after each move only the
+    cells of the entries it changes (planner._changes) are replaced."""
+    inner = indent + "  "
+    item = inner + "  "
+    _members((
+        ("n", plan.n), ("p", plan.p), ("source", plan.source),
+        ("target", plan.target), ("length", plan.length),
+    ), inner, append)
+
+    labels, changes, blocks = {}, {}, []
+    join = ("," + item).join
+    for kind, at, k in plan.blocks:
+        unit = _unit(kind, at)
+        for move in unit:
+            if move not in labels:
+                pieces: list[str] = []
+                _encode(move.to_json_dict(), item, pieces.append)
+                labels[move] = "".join(pieces)
+                changes[move] = _changes(move)
+        blocks.append(join(repeat(join([labels[move] for move in unit]), k)))
+    moves = "[" + item + join(blocks) + inner + "]" if blocks else "[]"
+    append("," + inner + '"moves": ' + moves)
+
+    cells = [item + "  " + str(v) for v in range(plan.p)]
+    row = [cells[v] for v in plan.source]
+    append("," + inner + '"waypoints": [' + item + "[")
+    append(",".join(row))
+    between = item + "]," + item + "["
+    for move, cur in plan._walk():
+        for i in changes[move]:
+            row[i] = cells[cur[i]]
+        append(between)
+        append(",".join(row))
+    append(item + "]" + inner + "]" + indent + "}")
+
+
 def _json(payload) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte; moves,
-    plans and graphs in the payload render through their to_json_dict,
-    only when JSON is asked for."""
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte; moves
+    and graphs in the payload render through their to_json_dict and plans
+    from their blocks, only when JSON is asked for."""
     pieces: list[str] = []
     _encode(payload, "\n", pieces.append)
     pieces.append("\n")
@@ -455,8 +495,11 @@ def _cmd_verify(args):
 
 
 # verify plans every ordered pair of an instance with at most this many
-# vertices, and a seeded sample of pairs above it.
+# vertices whose check walks at most this many prefixes, one per source
+# and waypoint key (_check_plans; at n = 2 every vertex has its own key),
+# and a seeded sample of pairs otherwise.
 _EXHAUSTIVE_VERTICES = 1024
+_EXHAUSTIVE_PREFIXES = 65536
 
 
 def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str, bool]], bool]:
@@ -502,8 +545,11 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
 
     # The planned pairs, as each source's vertex index mapped to the
     # indices of its targets.
-    if len(g.vertices) <= _EXHAUSTIVE_VERTICES:
-        everyone = range(len(g.vertices))
+    size = len(g.vertices)
+    if size <= _EXHAUSTIVE_VERTICES and (
+        size * len({_waypoint_key(w, p) for w in g.vertices}) <= _EXHAUSTIVE_PREFIXES
+    ):
+        everyone = range(size)
         pairs = dict.fromkeys(everyone, everyone)
         mode, seed = "exhaustive", None
     else:
@@ -515,7 +561,7 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
             pairs.setdefault(g.index_of(a), []).append(g.index_of(b))
         mode = "sampled"
     summary = {
-        "vertices": len(g.vertices),
+        "vertices": size,
         "pair_mode": mode,
         "pairs": sum(len(js) for js in pairs.values()),
         "seed": seed,

@@ -60,7 +60,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 from .moves import (
     _ADD_FIRST_MOVE,
@@ -178,6 +177,25 @@ def _effect(cur: list[int], kind: str, at: int, k: int, p: int) -> None:
         cur[at - 1] = _rep(cur[at - 1] + k, p)
 
 
+def _changes(move: Move) -> tuple[int, ...]:
+    """The entries, 0-based, that ``move`` changes when _effect applies
+    it: the last for clear_last, s-1 and s for clear_forward(s), the
+    first for add_first."""
+    if move.kind == CLEAR_LAST:
+        return (-1,)
+    if move.kind == CLEAR_FORWARD:
+        return (move.s - 1, move.s)
+    return (0,)
+
+
+def _unit(kind: str, at: int) -> tuple[Move, ...]:
+    """The moves of one repeat of the block ``(kind, at, k)``: the whole
+    travel(at), or the single clearing move."""
+    if kind == _TRAVEL:
+        return _travel(at)
+    return (_clear_forward(at) if kind == CLEAR_FORWARD else _CLEAR_LAST_MOVE,)
+
+
 def _run(cur: list[int], kind: str, at: int, k: int, p: int) -> None:
     """Certify the run ``kind(at) x k``, k >= 1, at ``cur`` in closed form
     and apply it: every block kind needs zeros before ``at``; the clearing
@@ -207,13 +225,9 @@ class PathPlan:
     def _moves(self) -> Iterator[Move]:
         """The moves, block by block."""
         for kind, at, k in self.blocks:
-            if kind == _TRAVEL:
-                for _ in range(k):
-                    yield from _travel(at)
-            else:
-                yield from repeat(
-                    _clear_forward(at) if kind == CLEAR_FORWARD else _CLEAR_LAST_MOVE, k
-                )
+            unit = _unit(kind, at)
+            for _ in range(k):
+                yield from unit
 
     def _walk(self) -> Iterator[tuple[Move, list[int]]]:
         """Each move with the weight it reaches, in one pass.  The weight
@@ -236,16 +250,12 @@ class PathPlan:
 
     def to_json_dict(self) -> dict:
         """The plan as JSON data, its moves and waypoints built in one
-        pass over the blocks.  ``moves`` shares one dict per distinct
-        move, so the encoder renders each label once."""
-        labels: dict[Move, dict] = {}
+        pass over the blocks.  The command line renders a plan's JSON
+        from its blocks instead (cli._plan_json), to the same text."""
         moves = []
         waypoints = [list(self.source)]
         for move, w in self._walk():
-            label = labels.get(move)
-            if label is None:
-                label = labels[move] = move.to_json_dict()
-            moves.append(label)
+            moves.append(move.to_json_dict())
             waypoints.append(w[:])
         return {
             "n": self.n,

@@ -140,13 +140,22 @@ class TestVerifyCommand:
             "verify n=3 p=37: 1369 vertices, planner checked on 300 sampled pairs "
             "(seed 20260811) plus (0,St)"
         )
-        # The JSON carries the same scope.
+        # The JSON carries the same scope.  At n = 2 every vertex has its own
+        # waypoint key, so 251 vertices walk 63,001 prefixes, within the limit
+        # of 65,536, and 509 vertices would walk 259,081: those are sampled.
         scopes = []
-        for p in ("2", "37"):
-            _, out, _ = run(capsys, "verify", "--n", "3", "--p", p, "--format", "json")
+        for n, p in (("3", "2"), ("3", "37"), ("2", "251"), ("2", "509")):
+            _, out, _ = run(capsys, "verify", "--n", n, "--p", p, "--format", "json")
             payload = json.loads(out)
-            scopes.append(tuple(payload[key] for key in ("vertices", "pair_mode", "pairs", "seed")))
-        assert scopes == [(4, "exhaustive", 16, None), (1369, "sampled", 301, 20260811)]
+            scopes.append(tuple(
+                payload[key] for key in ("vertices", "pair_mode", "pairs", "seed", "ok")
+            ))
+        assert scopes == [
+            (4, "exhaustive", 16, None, True),
+            (1369, "sampled", 301, 20260811, True),
+            (251, "exhaustive", 63001, None, True),
+            (509, "sampled", 301, 20260811, True),
+        ]
 
     @pytest.mark.parametrize("limit, mode", [(9, "exhaustive"), (8, "sampled")])
     def test_exhaustive_up_to_the_vertex_limit(self, capsys, monkeypatch, limit, mode):
@@ -350,10 +359,29 @@ _OBJECTS = st.sampled_from([
     plan_path((1,), (1,), 2),
     graph_mod.build_certified_graph(3, 2),
 ])
+
+
+@st.composite
+def _plans(draw):
+    """A plan of rank 2..8 at p in {2, 3, 5, 7, 11}, either end possibly
+    zero or the Steinberg weight, and sometimes the empty plan."""
+    n = draw(st.integers(2, 8))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    weight = st.one_of(
+        st.just((0,) * (n - 1)),
+        st.just(steinberg_weight(n, p)),
+        st.tuples(*[st.integers(0, p - 1)] * (n - 1)),
+    )
+    lam = draw(weight)
+    return plan_path(lam, draw(st.one_of(st.just(lam), weight)), p)
+
+
+_PLANS = _plans()
 _KEYS = st.one_of(_TEXT, st.integers(), _FLOATS, st.booleans(), st.none())
 _LEAVES = st.one_of(
     _SCALARS,
     _OBJECTS,
+    _PLANS,
     st.lists(st.one_of(st.integers(), st.booleans(), st.none())),  # flat lists
     st.lists(st.integers()).map(tuple),
     st.lists(st.lists(st.one_of(st.integers(), st.booleans(), st.none()), min_size=1)),  # rows
@@ -377,8 +405,10 @@ _ADD_FIRST = {"kind": "add_first"}
 
 
 class TestJsonEncoder:
-    @settings(max_examples=200, deadline=None)
-    @given(_PAYLOADS)
+    # A plan renders from its blocks: alone, and inside the payloads'
+    # lists and dicts, which deepen its indent.
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_PLANS, _PAYLOADS))
     def test_matches_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)
 
@@ -390,6 +420,9 @@ class TestJsonEncoder:
         [_LABEL, {"kind": "clear_last"}, _LABEL, _LABEL],
         [_LABEL, _ADD_FIRST, _LABEL, _ADD_FIRST],
         {"moves": [_LABEL, _LABEL], "nested": [[_LABEL, 1], [_LABEL]]},
+        plan_path((3,), (0,), 5),  # n = 2 to zero: add_first, then clear_last
+        {"plan": [plan_path((0,), (0,), 2)]},  # the empty plan: "moves" is []
+        [plan_path((2, 2, 2), (0, 0, 0), 3)] * 2,
     ])
     def test_edge_cases_match_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)

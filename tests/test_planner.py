@@ -309,11 +309,16 @@ class TestPathPlanSerialization:
         assert payload["moves"] == [{"kind": "add_first"}]
         assert payload["waypoints"] == [[0], [1]]
 
-    def test_moves_share_one_dict_per_distinct_move(self):
-        plan = plan_path((0,) * 39, steinberg_weight(40, 11), 11)
-        moves = plan.to_json_dict()["moves"]
-        assert len(moves) == 7800
-        assert len({id(label) for label in moves}) == len(set(plan.moves))
+    @settings(max_examples=100, deadline=None)
+    @given(weight_pairs(ends=True))
+    def test_each_move_changes_only_its_stated_entries(self, case):
+        # The JSON renderer redraws only these entries of a waypoint row.
+        lam, mu, p = case
+        plan = plan_path(lam, mu, p)
+        for move, w, nxt in zip(plan.moves, plan.waypoints, plan.waypoints[1:]):
+            stated = {i % len(w) for i in planner._changes(move)}
+            assert apply_move(w, move, p) == nxt
+            assert {i for i, (a, b) in enumerate(zip(w, nxt)) if a != b} <= stated
 
 
 class TestInvariantGuards:
