@@ -11,52 +11,20 @@ exhaustively at desk scale.
 
 from .weights import (
     f_value,
-    is_p_restricted,
-    is_subdominant,
-    p_adic_decompose,
     partition_to_weight,
-    s_sum,
     steinberg_weight,
     to_scaled_root_coeffs,
     weight_to_partition,
 )
 from .char0 import canonical_path_char0, char0_distance, lr_neighbors
-from .conormal import (
-    addable_indices,
-    bk_children,
-    block_form,
-    conormal_indices,
-    removable_indices,
-)
-from .moves import (
-    Move,
-    NoSuchEdgeError,
-    NotApplicableError,
-    apply_move,
-    certified_moves,
-    certify_via_conormal,
-    move_add_first,
-    move_clear_forward,
-    move_clear_last,
-    validate_move,
-)
-from .planner import (
-    InvariantViolationError,
-    PathPlan,
-    capital_M_of,
-    ell,
-    lambda_zero,
-    length_bound,
-    path_from_M,
-    plan_path,
-    s_mu,
-)
+from .conormal import addable_indices, bk_children, conormal_indices, removable_indices
+from .moves import Move, NoSuchEdgeError, certified_moves, validate_move
+from .planner import InvariantViolationError, PathPlan, length_bound, plan_path
 from .graph import (
     BudgetExceededError,
     CertifiedGraph,
     bfs_distances,
     build_certified_graph,
-    enumerate_p_restricted,
     subgraph_diameter,
 )
 
@@ -66,38 +34,21 @@ __all__ = [
     "InvariantViolationError",
     "Move",
     "NoSuchEdgeError",
-    "NotApplicableError",
     "PathPlan",
     "addable_indices",
-    "apply_move",
     "bfs_distances",
     "bk_children",
-    "block_form",
     "build_certified_graph",
     "canonical_path_char0",
-    "capital_M_of",
     "certified_moves",
-    "certify_via_conormal",
     "char0_distance",
     "conormal_indices",
-    "ell",
-    "enumerate_p_restricted",
     "f_value",
-    "is_p_restricted",
-    "is_subdominant",
-    "lambda_zero",
     "length_bound",
     "lr_neighbors",
-    "move_add_first",
-    "move_clear_forward",
-    "move_clear_last",
-    "p_adic_decompose",
     "partition_to_weight",
-    "path_from_M",
     "plan_path",
     "removable_indices",
-    "s_mu",
-    "s_sum",
     "steinberg_weight",
     "subgraph_diameter",
     "to_scaled_root_coeffs",

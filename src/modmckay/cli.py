@@ -588,7 +588,7 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
         s = first_nonzero_position(w)
         if 1 not in con or (s is not None and 1 + s not in con):
             conormal_ok = False
-        if not all(_certify(w, move, p, parts, con) for move, _ in adj):
+        if not all(_certify(w, move, g.vertices[j], p, parts, con) for move, j in adj):
             certify_ok = False
     checks.append(("index 1 and 1+a_1 conormal at every vertex", conormal_ok))
     checks.append(("every certified move certified via conormal", certify_ok))
@@ -644,6 +644,8 @@ def _check_plans(g, pairs: dict, rows) -> tuple[bool, bool, dict]:
     for (i, js), dist in zip(pairs.items(), rows):
         lam = vertices[i]
         prefixes: dict[tuple, int | None] = {}
+        if i == 0:
+            from_zero = prefixes
         for j in js:
             if j == i:  # the empty plan
                 optimal += 1
@@ -679,9 +681,9 @@ def _check_plans(g, pairs: dict, rows) -> tuple[bool, bool, dict]:
                 worst = gap
 
     # Vertices are in lexicographic order: zero first, Steinberg last, and
-    # (zero, Steinberg) is a planned pair.
+    # (zero, Steinberg) is a planned pair, so the loop walked both halves.
     key, tail = suffixes[len(vertices) - 1]
-    head = _walk_length(vertices[0], waypoints[key], p, _to_waypoint, vertices[0], key)
+    head = from_zero[key]
     exact = head is not None and tail is not None and head + tail == bound
     if not ok:
         return ok, exact, dict.fromkeys(("optimal_pairs", "worst_gap", "mean_gap"))

@@ -20,8 +20,6 @@ already (``verify``, the move certification) calls it directly.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .weights import Partition, Weight, _weight, check_partition
 
 
@@ -90,8 +88,3 @@ def bk_children(parts: Partition, p: int) -> set[tuple[int, Weight]]:
     """
     return {(i, _weight(_bump(parts, i))) for i in conormal_indices(parts, p)}
 
-
-def block_form(parts: Partition) -> list[tuple[int, int]]:
-    """Run-length encoding [(value, multiplicity), ...] of the partition;
-    the first multiplicity is the block size a_1."""
-    return [(x, len(list(run))) for x, run in groupby(check_partition(parts))]

@@ -39,20 +39,6 @@ class BudgetExceededError(RuntimeError):
     """The requested (n, p) state space exceeds the configured budget."""
 
 
-def enumerate_p_restricted(
-    n: int, p: int, budget: int = DEFAULT_VERTEX_BUDGET
-) -> list[Weight]:
-    """All p^(n-1) p-restricted weights in lexicographic order."""
-    if n < 2 or p < 2:
-        raise ValueError("need n >= 2 and p >= 2")
-    count = p ** (n - 1)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} = {p}^{n - 1} vertices exceed the budget of {budget}"
-        )
-    return [w for w in product(range(p), repeat=n - 1)]
-
-
 @dataclass
 class CertifiedGraph:
     """Adjacency over all p-restricted weights; edges are certified moves."""
@@ -93,8 +79,16 @@ class CertifiedGraph:
 def build_certified_graph(
     n: int, p: int, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> CertifiedGraph:
-    """Construct the certified subgraph for (n, p)."""
-    vertices = tuple(enumerate_p_restricted(n, p, budget))
+    """Construct the certified subgraph for (n, p), its p^(n-1) vertices
+    in lexicographic order."""
+    if n < 2 or p < 2:
+        raise ValueError("need n >= 2 and p >= 2")
+    count = p ** (n - 1)
+    if count > budget:
+        raise BudgetExceededError(
+            f"{count} = {p}^{n - 1} vertices exceed the budget of {budget}"
+        )
+    vertices = tuple(product(range(p), repeat=n - 1))
     index = {w: i for i, w in enumerate(vertices)}
     # The enumerated vertices are p-restricted: step them unchecked.
     adjacency = tuple(

@@ -15,8 +15,8 @@ set {1, ..., p-1} collapses to {1}; in particular add_first at a weight
 with first entry 1 is a genuine self-loop.
 
 These edges form a certified subgraph of the full McKay graph (more edges
-may exist); :func:`certify_via_conormal` re-derives each one from the
-conormal-index criterion as an independent check.
+may exist); ``verify`` re-derives each one from the conormal-index
+criterion (:func:`_certify`) as an independent check.
 """
 
 from __future__ import annotations
@@ -24,23 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .conormal import _bump, _rows
-from .weights import (
-    Partition,
-    Weight,
-    _partition,
-    _weight,
-    check_weight,
-    require_restricted,
-)
+from .conormal import _bump
+from .weights import Partition, Weight, _weight, require_restricted
 
 ADD_FIRST = "add_first"
 CLEAR_FORWARD = "clear_forward"
 CLEAR_LAST = "clear_last"
-
-
-class NotApplicableError(ValueError):
-    """The requested move is not defined at this weight."""
 
 
 class NoSuchEdgeError(ValueError):
@@ -119,45 +108,6 @@ def _successors(w: Weight, p: int) -> list[tuple[Move, Weight]]:
     return out
 
 
-def _step(w: Weight, move: Move, p: int) -> Weight:
-    """The head of the edge labelled ``move`` out of a p-restricted ``w``;
-    NotApplicableError when ``w`` has no such edge, which includes a
-    clear_forward whose stored position is stale."""
-    for label, target in _successors(w, p):
-        if label == move:
-            return target
-    raise NotApplicableError(f"{move} is not a certified edge out of {w}")
-
-
-def move_add_first(w: Weight, p: int) -> Weight:
-    """Apply the add_first move."""
-    require_restricted(w, p)
-    return _step(w, _ADD_FIRST_MOVE, p)
-
-
-def move_clear_forward(w: Weight, p: int) -> Weight:
-    """Apply the clear_forward move; requires the first nonzero entry to
-    sit at some position s < n-1."""
-    require_restricted(w, p)
-    # Position n-1 stands in for the zero weight: neither has a clear_forward.
-    return _step(w, _clear_forward(first_nonzero_position(w) or len(w)), p)
-
-
-def move_clear_last(w: Weight) -> Weight:
-    """Apply the clear_last move; requires all entries before n-1 to be 0
-    and the last entry positive."""
-    check_weight(w)
-    # clear_last does not depend on p; any p above every entry will do.
-    return _step(w, _CLEAR_LAST_MOVE, max(w) + 2)
-
-
-def apply_move(w: Weight, move: Move, p: int) -> Weight:
-    """Apply ``move`` at ``w``; a stale clear position raises
-    NotApplicableError."""
-    require_restricted(w, p)
-    return _step(w, move, p)
-
-
 def certified_moves(w: Weight, p: int) -> list[tuple[Move, Weight]]:
     """The 1 or 2 certified edges out of ``w``: add_first always, plus the
     single applicable clearing move when ``w`` is nonzero."""
@@ -180,29 +130,21 @@ def validate_move(lam: Weight, mu: Weight, p: int) -> Move:
     raise NoSuchEdgeError(f"no certified edge {lam} -> {mu} for p={p}")
 
 
-def certify_via_conormal(lam: Weight, move: Move, p: int) -> bool:
-    """Independently certify a move through the conormal-index criterion.
-
-    True iff the responsible row index is conormal for the attached
-    partition AND the weight of the box-added partition p-adically
-    witnesses the move's target: it equals the target when p-restricted,
-    and otherwise its digits are [nu, e_k] with target = nu + e_k (the
-    entry bumped to p splits off one Frobenius-twisted standard factor).
-    """
-    require_restricted(lam, p)
-    parts = _partition(lam)
-    return _certify(lam, move, p, parts, _rows(parts, p)[2])
-
-
 def _certify(
-    lam: Weight, move: Move, p: int, parts: Partition, con: list[int]
+    lam: Weight, move: Move, mu: Weight, p: int, parts: Partition, con: list[int]
 ) -> bool:
-    """certify_via_conormal for a p-restricted ``lam`` whose partition
-    ``parts`` and conormal rows ``con`` the caller has computed.  The
-    responsible row is 1 for add_first and 1 + a_1 for the clearing moves,
-    where a_1, the size of the partition's first constant block, is the
-    position of the first nonzero entry."""
-    mu = _step(lam, move, p)
+    """Certify the edge ``move``: lam -> mu through the conormal-index
+    criterion, for a p-restricted ``lam`` whose partition ``parts`` and
+    conormal rows ``con`` the caller has computed.
+
+    True iff the responsible row is conormal for ``parts`` AND the weight
+    of the box-added partition p-adically witnesses mu: it equals mu when
+    p-restricted, and otherwise its digits are [nu, e_k] with mu = nu + e_k
+    (the entry bumped to p splits off one Frobenius-twisted standard
+    factor).  The responsible row is 1 for add_first and 1 + a_1 for the
+    clearing moves, where a_1, the size of the partition's first constant
+    block, is the position of the first nonzero entry.
+    """
     i = 1 if move.kind == ADD_FIRST else 1 + first_nonzero_position(lam)
     if i not in con:
         return False

@@ -86,22 +86,12 @@ def length_bound(n: int, p: int) -> int:
     return (p - 1) * n * (n - 1) // 2
 
 
-def ell(mu: Weight, p: int) -> int:
+def _ell(mu: Weight, p: int) -> int:
     """0 for the Steinberg weight, n for zero, else the largest position
     whose entry is < p-1."""
-    return _ell(require_restricted(mu, p), p)
-
-
-def _ell(mu: Weight, p: int) -> int:
     if not any(mu):
         return len(mu) + 1
     return max((x for x, m in enumerate(mu, start=1) if m < p - 1), default=0)
-
-
-def s_mu(mu: Weight, p: int) -> int:
-    """Last nonzero position strictly before ell(mu), or 0 when there is
-    none."""
-    return _statistics(require_restricted(mu, p), p)[1]
 
 
 def _statistics(mu: Weight, p: int) -> tuple[int, int, bool]:
@@ -115,46 +105,17 @@ def _statistics(mu: Weight, p: int) -> tuple[int, int, bool]:
     return l, 0, True
 
 
-def capital_M_of(mu: Weight, p: int) -> Weight:
-    """The canonical waypoint attached to mu: mu itself if canonical, else
-    zeros with a 1 at s_mu, mu's entry at ell(mu), and p-1 afterwards."""
-    l, s, on_path = _statistics(require_restricted(mu, p), p)
-    if on_path:
-        return mu
-    # mu's entries after ell(mu) are p-1, by the definition of ell.
-    return (0,) * (s - 1) + (1,) + (0,) * (l - 1 - s) + mu[l - 1 :]
-
-
-def lambda_zero(lam: Weight, upto: int, r: int, p: int) -> int:
+def _lambda_zero(lam: Weight, upto: int, r: int, p: int) -> int:
     """The unique element of {0, ..., p-2} congruent to
     r - (lam_1 + ... + lam_upto) mod p-1."""
-    if p < 2:
-        raise ValueError("need p >= 2")
-    if not 0 <= upto <= len(lam):
-        raise ValueError(f"upto out of range: {upto}")
-    return _lambda_zero(lam, upto, r, p)
-
-
-def _lambda_zero(lam: Weight, upto: int, r: int, p: int) -> int:
     return (r - sum(lam[:upto])) % (p - 1)
 
 
-def path_from_M(mu: Weight, p: int) -> list[Move]:
-    """Moves from capital_M_of(mu) to mu; empty when mu is canonical.
-
-    Fills the entries below ell(mu) from the top down: raise position
-    s_mu from its seed 1 to mu's value, then carry single 1s into each
-    lower position the required number of times.
-    """
-    _, s, on_path = _statistics(require_restricted(mu, p), p)
-    if on_path:
-        return []
-    return [move for x, k in _travels_from_M(mu, s) for move in _travel(x) * k]
-
-
 def _travels_from_M(mu: Weight, s: int) -> list[tuple[int, int]]:
-    """path_from_M for a mu off the canonical path, as (x, k) runs of
-    travel(x) x k."""
+    """The walk from M(mu) to a mu off the canonical path, as (x, k) runs
+    of travel(x) x k: raise position s = s_mu from its seed 1 to mu's
+    value, then carry single 1s into each lower position the required
+    number of times."""
     return [(s, mu[s - 1] - 1)] + [(j, mu[j - 1]) for j in range(s - 1, 0, -1)]
 
 
@@ -372,7 +333,7 @@ def _to_waypoint(b: _Builder, lam: Weight, key: tuple[int, int | None, bool]) ->
 
 def _from_waypoint(b: _Builder, mu: Weight) -> None:
     """Walk the builder from K(mu) to mu: seed the 1 at s_mu, which
-    completes M(mu), then fill in below it (path_from_M)."""
+    completes M(mu), then fill in below it (_travels_from_M)."""
     _, s, on_path = _statistics(mu, b.p)
     if s >= 1:
         b.run(_TRAVEL, s)

@@ -103,23 +103,6 @@ def _f(w: Weight) -> int:
     return sum(i * m for i, m in enumerate(w, start=1))
 
 
-def s_sum(w: Weight) -> int:
-    """Coordinate sum of the weight."""
-    return sum(check_weight(w))
-
-
-def is_subdominant(nu: Weight, lam: Weight) -> bool:
-    """True iff ``lam - nu`` is a nonnegative integral combination of
-    simple roots (nu <= lam in the dominance order)."""
-    check_weight(nu)
-    check_weight(lam)
-    if len(nu) != len(lam):
-        raise ValueError(f"rank mismatch: {len(nu) + 1} vs {len(lam) + 1}")
-    n = len(lam) + 1
-    diff = tuple(a - b for a, b in zip(lam, nu))
-    return all(x >= 0 and x % n == 0 for x in _scaled_coeffs(diff))
-
-
 def weight_to_partition(w: Weight) -> Partition:
     """The length-n partition attached to a weight: part_i = sum_{j>=i} m_j,
     so consecutive differences recover the weight and the last part is 0."""
@@ -143,13 +126,6 @@ def _weight(parts: Partition) -> Weight:
     return tuple(a - b for a, b in zip(parts, parts[1:]))
 
 
-def is_p_restricted(w: Weight, p: int) -> bool:
-    """True iff every entry is < p."""
-    if p < 2:
-        raise ValueError("need p >= 2")
-    return all(0 <= m < p for m in check_weight(w))
-
-
 def require_restricted(w: Weight, p: int) -> Weight:
     """Validate a p-restricted weight in one pass over its entries: at
     least one entry, each an integer in 0..p-1.  Raises ValueError."""
@@ -166,21 +142,3 @@ def steinberg_weight(n: int, p: int) -> Weight:
     if n < 2 or p < 2:
         raise ValueError("need n >= 2 and p >= 2")
     return (p - 1,) * (n - 1)
-
-
-def p_adic_decompose(w: Weight, p: int) -> list[Weight]:
-    """Entrywise base-p digits of a weight: a list of p-restricted weights
-    nu_1, ..., nu_k with w = sum_i p^(i-1) * nu_i.
-
-    Trailing zero weights are trimmed, so a p-restricted nonzero weight
-    yields ``[w]`` and the zero weight yields ``[]``.
-    """
-    check_weight(w)
-    if p < 2:
-        raise ValueError("need p >= 2")
-    digits = []
-    rem = list(w)
-    while any(rem):
-        digits.append(tuple(m % p for m in rem))
-        rem = [m // p for m in rem]
-    return digits

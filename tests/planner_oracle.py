@@ -1,5 +1,6 @@
 # The planner module as it was before its run-length blocks, unchanged
-# apart from the absolute imports: the step-by-step oracle that
+# apart from the absolute imports and the move step it takes each move
+# with, which modmckay.moves no longer has: the step-by-step oracle that
 # tests/test_planner.py compares modmckay.planner's expanded plans against.
 """Constructive paths between arbitrary p-restricted weights.
 
@@ -40,13 +41,26 @@ from modmckay.moves import (
     _ADD_FIRST_MOVE,
     _CLEAR_LAST_MOVE,
     Move,
-    NotApplicableError,
     _clear_forward,
-    _step,
+    _successors,
     first_nonzero_position,
     validate_move,
 )
 from modmckay.weights import Weight, require_restricted
+
+
+class NotApplicableError(ValueError):
+    """The requested move is not defined at this weight."""
+
+
+def _step(w: Weight, move: Move, p: int) -> Weight:
+    """The head of the edge labelled ``move`` out of a p-restricted ``w``;
+    NotApplicableError when ``w`` has no such edge, which includes a
+    clear_forward whose stored position is stale."""
+    for label, target in _successors(w, p):
+        if label == move:
+            return target
+    raise NotApplicableError(f"{move} is not a certified edge out of {w}")
 
 
 class InvariantViolationError(AssertionError):

@@ -203,6 +203,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--n", "2", "--p", "3")
         assert code == 1 and err == ""
         assert "FAIL  planner valid, admissible, within bound" in out
+        assert "FAIL  plan(0,St) meets the bound exactly" in out
         assert out.endswith("some checks FAILED\n")
 
     @pytest.mark.parametrize("half", ["prefix", "suffix"])
@@ -222,6 +223,10 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert lines[1] == "plan length minus BFS distance: not measured, the planner check failed"
         assert "FAIL  planner valid, admissible, within bound" in out
+        # The Steinberg weight is on the canonical path: its suffix has no
+        # travel run to drop, so only the broken prefix fails plan(0,St).
+        exact = "PASS" if half == "suffix" else "FAIL"
+        assert f"{exact}  plan(0,St) meets the bound exactly" in out
         assert lines[-1] == "some checks FAILED"
 
     @pytest.mark.parametrize("factor", [0, 10])

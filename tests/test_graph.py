@@ -11,7 +11,6 @@ from modmckay.graph import (
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
-    enumerate_p_restricted,
     graph_to_dot,
     neighbors_to_dot,
     plan_to_dot,
@@ -25,18 +24,18 @@ from modmckay.char0 import lr_neighbors
 
 class TestEnumerate:
     def test_counts(self):
-        assert len(enumerate_p_restricted(3, 3)) == 9
-        assert enumerate_p_restricted(2, 2) == [(0,), (1,)]
-        assert len(enumerate_p_restricted(5, 2)) == 16
+        assert len(build_certified_graph(3, 3).vertices) == 9
+        assert build_certified_graph(2, 2).vertices == ((0,), (1,))
+        assert len(build_certified_graph(5, 2).vertices) == 16
 
     def test_lexicographic_and_deterministic(self):
-        ws = enumerate_p_restricted(3, 3)
-        assert ws == sorted(ws)
-        assert ws == enumerate_p_restricted(3, 3)
+        ws = build_certified_graph(3, 3).vertices
+        assert list(ws) == sorted(ws)
+        assert ws == build_certified_graph(3, 3).vertices
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            enumerate_p_restricted(11, 7, budget=1000)
+            build_certified_graph(11, 7, budget=1000)
 
 
 class TestBuild:

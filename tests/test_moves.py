@@ -1,41 +1,42 @@
+import importlib
 from itertools import product
 
 import pytest
 
+import modmckay
 from modmckay.char0 import char0_distance, lr_neighbors
 from modmckay.conormal import (
+    _rows,
     addable_indices,
     bk_children,
-    block_form,
     conormal_indices,
     removable_indices,
 )
 from modmckay.moves import (
     Move,
     NoSuchEdgeError,
-    NotApplicableError,
-    apply_move,
+    _certify,
     certified_moves,
-    certify_via_conormal,
     first_nonzero_position,
-    move_add_first,
-    move_clear_forward,
-    move_clear_last,
     validate_move,
 )
-from modmckay.planner import capital_M_of, ell, path_from_M, s_mu
-from modmckay.weights import (
-    f_value,
-    is_p_restricted,
-    partition_to_weight,
-    weight_to_partition,
-)
+from modmckay.weights import f_value, partition_to_weight, weight_to_partition
 
 SMALL_INSTANCES = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
 
 
 def all_restricted(n, p):
     return [w for w in product(range(p), repeat=n - 1)]
+
+
+def head(w, move, p):
+    """The head of the certified edge labelled ``move`` out of ``w``, or
+    None when ``w`` has no such edge."""
+    return dict(certified_moves(w, p)).get(move)
+
+
+ADD_FIRST = Move("add_first")
+CLEAR_LAST = Move("clear_last")
 
 
 class TestMoveType:
@@ -59,44 +60,36 @@ class TestMoveType:
 
 class TestAddFirst:
     def test_no_wrap(self):
-        assert move_add_first((1, 0), 3) == (2, 0)
+        assert head((1, 0), ADD_FIRST, 3) == (2, 0)
 
     def test_wrap_to_one(self):
         # 2+1 = 3 is congruent to 1 mod 2, and 1 is the representative
-        assert move_add_first((2, 0), 3) == (1, 0)
+        assert head((2, 0), ADD_FIRST, 3) == (1, 0)
 
     def test_p2_self_loop(self):
-        assert move_add_first((1,), 2) == (1,)
-
-    def test_rejects_unrestricted(self):
-        with pytest.raises(ValueError):
-            move_add_first((3, 0), 3)
+        assert head((1,), ADD_FIRST, 2) == (1,)
 
 
 class TestClearForward:
     def test_wrap_in_next_entry(self):
-        assert move_clear_forward((0, 2, 1), 3) == (0, 1, 2)
+        assert head((0, 2, 1), Move("clear_forward", 2), 3) == (0, 1, 2)
 
     def test_simple(self):
-        assert move_clear_forward((1, 0), 3) == (0, 1)
+        assert head((1, 0), Move("clear_forward", 1), 3) == (0, 1)
 
     def test_not_applicable_at_last_position(self):
-        with pytest.raises(NotApplicableError):
-            move_clear_forward((0, 0, 1), 2)
-        with pytest.raises(NotApplicableError):
-            move_clear_forward((0, 0, 0), 2)
+        for w in [(0, 0, 1), (0, 0, 0)]:
+            assert all(move.kind != "clear_forward" for move, _ in certified_moves(w, 2))
 
 
 class TestClearLast:
     def test_examples(self):
-        assert move_clear_last((0, 1)) == (0, 0)
-        assert move_clear_last((0, 0, 2)) == (0, 0, 1)
+        assert head((0, 1), CLEAR_LAST, 2) == (0, 0)
+        assert head((0, 0, 2), CLEAR_LAST, 3) == (0, 0, 1)
 
     def test_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            move_clear_last((1, 0, 1))
-        with pytest.raises(NotApplicableError):
-            move_clear_last((0, 0))
+        assert head((1, 0, 1), CLEAR_LAST, 2) is None
+        assert head((0, 0), CLEAR_LAST, 2) is None
 
 
 class TestCertifiedMoves:
@@ -115,13 +108,17 @@ class TestCertifiedMoves:
             (Move("clear_forward", 1), (0, 1)),
         ]
 
+    def test_stale_clear_position_is_no_edge(self):
+        # (0, 1, 0) clears position 2, not 1.
+        assert head((0, 1, 0), Move("clear_forward", 1), 3) is None
+
     def test_count_and_closure(self):
         for n, p in SMALL_INSTANCES:
             for w in all_restricted(n, p):
                 edges = certified_moves(w, p)
                 assert len(edges) == (1 if not any(w) else 2)
                 for _, target in edges:
-                    assert is_p_restricted(target, p)
+                    assert all(0 <= m < p for m in target)
 
     def test_potential_law(self):
         for n, p in SMALL_INSTANCES:
@@ -159,49 +156,39 @@ class TestValidateMove:
                             validate_move(a, b, p)
 
 
-class TestApplyMove:
-    def test_dispatch(self):
-        assert apply_move((1, 0), Move("add_first"), 3) == (2, 0)
-        assert apply_move((1, 0), Move("clear_forward", 1), 3) == (0, 1)
-        assert apply_move((0, 1), Move("clear_last"), 2) == (0, 0)
-
-    def test_stale_clear_position_rejected(self):
-        with pytest.raises(NotApplicableError):
-            apply_move((0, 1, 0), Move("clear_forward", 1), 3)
+def certify(lam, move, mu, p):
+    """moves._certify on the edge lam -> mu, with the partition and the
+    conormal rows that verify computes once per vertex."""
+    parts = weight_to_partition(lam)
+    return _certify(lam, move, mu, p, parts, _rows(parts, p)[2])
 
 
 class TestCertifyViaConormal:
     def test_add_first_examples(self):
-        assert certify_via_conormal((1, 0), Move("add_first"), 3)
-        assert certify_via_conormal((2, 2), Move("add_first"), 3)  # wraps via p-adic
+        assert certify((1, 0), ADD_FIRST, (2, 0), 3)
+        assert certify((2, 2), ADD_FIRST, (1, 2), 3)  # wraps via p-adic
 
     def test_clear_examples(self):
-        assert certify_via_conormal((1, 0), Move("clear_forward", 1), 3)
-        assert certify_via_conormal((0, 1), Move("clear_last"), 2)
+        assert certify((1, 0), Move("clear_forward", 1), (0, 1), 3)
+        assert certify((0, 1), CLEAR_LAST, (0, 0), 2)
 
     def test_every_certified_move_certifies(self):
         for n, p in SMALL_INSTANCES:
             for w in all_restricted(n, p):
-                for move, _ in certified_moves(w, p):
-                    assert certify_via_conormal(w, move, p), (w, move, p)
+                for move, target in certified_moves(w, p):
+                    assert certify(w, move, target, p), (w, move, p)
 
-    def test_inapplicable_move_raises(self):
-        with pytest.raises(NotApplicableError):
-            certify_via_conormal((1, 0, 0), Move("clear_last"), 2)
+    def test_a_wrong_head_fails(self):
+        # The responsible row is conormal, but the box it adds witnesses
+        # another weight.
+        assert not certify((1, 0), ADD_FIRST, (0, 1), 3)
+        assert not certify((1, 0), Move("clear_forward", 1), (2, 0), 3)
 
 
 _CHECKED_AT_BOUNDARY = {
-    "apply_move": lambda w: apply_move(w, Move("add_first"), 3),
     "certified_moves": lambda w: certified_moves(w, 3),
     "validate_move_source": lambda w: validate_move(w, (1, 0), 3),
     "validate_move_target": lambda w: validate_move((1, 0), w, 3),
-    "move_add_first": lambda w: move_add_first(w, 3),
-    "move_clear_forward": lambda w: move_clear_forward(w, 3),
-    "certify_via_conormal": lambda w: certify_via_conormal(w, Move("add_first"), 3),
-    "capital_M_of": lambda w: capital_M_of(w, 3),
-    "path_from_M": lambda w: path_from_M(w, 3),
-    "ell": lambda w: ell(w, 3),
-    "s_mu": lambda w: s_mu(w, 3),
 }
 
 
@@ -210,8 +197,8 @@ _CHECKED_AT_BOUNDARY = {
 )
 @pytest.mark.parametrize("bad", [(3, 0), (-1, 0)], ids=["unrestricted", "negative"])
 def test_public_functions_reject_bad_weights(call, bad):
-    # Exactly ValueError: the boundary check fires, not a NotApplicableError
-    # from the trusting kernel behind it.
+    # Exactly ValueError: the boundary check fires, not a NoSuchEdgeError
+    # from the search behind it.
     with pytest.raises(ValueError) as excinfo:
         call(bad)
     assert excinfo.type is ValueError
@@ -231,7 +218,6 @@ _PARTITION_CHECKED_AT_BOUNDARY = {
     "addable_indices": addable_indices,
     "removable_indices": removable_indices,
     "bk_children": lambda parts: bk_children(parts, 3),
-    "block_form": block_form,
     "partition_to_weight": partition_to_weight,
 }
 
@@ -258,3 +244,54 @@ def test_public_functions_reject_bad_partitions(call, bad):
     with pytest.raises(ValueError) as excinfo:
         call(bad)
     assert excinfo.type is ValueError
+
+
+# The public surface: the names that modmckay exports, and each module's
+# public functions and classes.  A name added or removed shows up here.
+_EXPORTED = [
+    "BudgetExceededError", "CertifiedGraph", "InvariantViolationError", "Move",
+    "NoSuchEdgeError", "PathPlan", "addable_indices", "bfs_distances",
+    "bk_children", "build_certified_graph", "canonical_path_char0",
+    "certified_moves", "char0_distance", "conormal_indices", "f_value",
+    "length_bound", "lr_neighbors", "partition_to_weight", "plan_path",
+    "removable_indices", "steinberg_weight", "subgraph_diameter",
+    "to_scaled_root_coeffs", "validate_move", "weight_to_partition",
+]
+_PUBLIC = {
+    "weights": [
+        "check_partition", "check_weight", "f_value", "format_weight",
+        "parse_weight", "partition_to_weight", "require_restricted",
+        "steinberg_weight", "to_scaled_root_coeffs", "weight_to_partition",
+    ],
+    "char0": ["canonical_path_char0", "char0_distance", "lr_neighbors"],
+    "conormal": ["addable_indices", "bk_children", "conormal_indices", "removable_indices"],
+    "moves": [
+        "Move", "NoSuchEdgeError", "certified_moves", "first_nonzero_position",
+        "validate_move",
+    ],
+    "planner": ["InvariantViolationError", "PathPlan", "length_bound", "plan_path"],
+    "graph": [
+        "BudgetExceededError", "CertifiedGraph", "bfs_distances",
+        "build_certified_graph", "distance_matrix_csv", "graph_to_dot",
+        "neighbors_to_dot", "plan_to_dot", "subgraph_diameter", "walk_to_dot",
+    ],
+    "cli": ["main", "run_verification"],
+}
+
+
+def test_package_exports_exactly_these_names():
+    assert sorted(modmckay.__all__) == _EXPORTED
+    namespace = {}
+    exec("from modmckay import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == _EXPORTED
+
+
+@pytest.mark.parametrize("module", list(_PUBLIC))
+def test_module_defines_exactly_these_public_names(module):
+    mod = importlib.import_module(f"modmckay.{module}")
+    public = sorted(
+        name for name, obj in vars(mod).items()
+        if not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", None) == mod.__name__
+    )
+    assert public == _PUBLIC[module]

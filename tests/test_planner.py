@@ -14,22 +14,11 @@ from modmckay.moves import (
     CLEAR_FORWARD,
     CLEAR_LAST,
     Move,
-    apply_move,
+    certified_moves,
     first_nonzero_position,
-    move_add_first,
-    move_clear_forward,
     validate_move,
 )
-from modmckay.planner import (
-    InvariantViolationError,
-    capital_M_of,
-    ell,
-    lambda_zero,
-    length_bound,
-    path_from_M,
-    plan_path,
-    s_mu,
-)
+from modmckay.planner import InvariantViolationError, length_bound, plan_path
 from modmckay.weights import f_value, steinberg_weight
 
 
@@ -37,19 +26,36 @@ def all_restricted(n, p):
     return [w for w in product(range(p), repeat=n - 1)]
 
 
+def s_mu(mu, p):
+    return planner._statistics(mu, p)[1]
+
+
+def capital_M(mu, p):
+    """M(mu), as the planner reaches it: K(mu) with the seed 1 at s_mu."""
+    m = list(planner._waypoint(planner._waypoint_key(mu, p), len(mu) + 1, p))
+    s = s_mu(mu, p)
+    if s:
+        m[s - 1] += 1
+    return tuple(m)
+
+
+def path_from_M(mu, p):
+    """The moves from M(mu) to mu, expanded from the planner's travel runs."""
+    _, s, on_path = planner._statistics(mu, p)
+    if on_path:
+        return []
+    return [m for x, k in planner._travels_from_M(mu, s) for m in planner._travel(x) * k]
+
+
 class TestEll:
     def test_steinberg(self):
-        assert ell((2, 2, 2), 3) == 0
+        assert planner._ell((2, 2, 2), 3) == 0
 
     def test_zero(self):
-        assert ell((0, 0, 0), 3) == 4
+        assert planner._ell((0, 0, 0), 3) == 4
 
     def test_last_small_entry(self):
-        assert ell((1, 2, 0, 2), 3) == 3
-
-    def test_rejects_unrestricted(self):
-        with pytest.raises(ValueError):
-            ell((3, 0), 3)
+        assert planner._ell((1, 2, 0, 2), 3) == 3
 
 
 class TestCanonicalSet:
@@ -70,7 +76,7 @@ class TestSMu:
     def test_zero_on_canonical_tail_weights(self):
         for n, p in [(3, 3), (5, 2), (4, 3)]:
             for mu in planner_oracle.canonical_set(n, p):
-                l = ell(mu, p)
+                l = planner._ell(mu, p)
                 if all(mu[x - 1] == 0 for x in range(1, min(l, n))):
                     assert s_mu(mu, p) == 0
 
@@ -84,30 +90,31 @@ class TestSMu:
 class TestCapitalM:
     def test_members_fixed(self):
         for mu in planner_oracle.canonical_set(4, 3):
-            assert capital_M_of(mu, 3) == mu
+            assert capital_M(mu, 3) == mu
 
     def test_constructed_waypoint(self):
-        assert capital_M_of((2, 0, 1), 3) == (1, 0, 1)
+        assert capital_M((2, 0, 1), 3) == (1, 0, 1)
 
     def test_stage_end_member(self):
-        assert capital_M_of((0, 2, 2), 3) == (0, 2, 2)
+        assert capital_M((0, 2, 2), 3) == (0, 2, 2)
 
     def test_always_lands_in_canonical_set(self):
         for n, p in [(3, 3), (4, 2), (4, 3), (5, 2)]:
             for mu in all_restricted(n, p):
-                assert capital_M_of(mu, p) in planner_oracle.canonical_set(n, p)
+                assert capital_M(mu, p) in planner_oracle.canonical_set(n, p)
+                assert capital_M(mu, p) == planner_oracle.capital_M_of(mu, p)
 
 
 class TestLambdaZero:
     def test_p2_always_zero(self):
-        assert lambda_zero((1, 0, 1), 3, 0, 2) == 0
-        assert lambda_zero((1, 1, 1), 2, 1, 2) == 0
+        assert planner._lambda_zero((1, 0, 1), 3, 0, 2) == 0
+        assert planner._lambda_zero((1, 1, 1), 2, 1, 2) == 0
 
     def test_example(self):
-        assert lambda_zero((2, 0, 1), 3, 0, 3) == 1
+        assert planner._lambda_zero((2, 0, 1), 3, 0, 3) == 1
 
     def test_matching_residue_gives_zero(self):
-        assert lambda_zero((2, 0, 1), 3, 3, 5) == 0
+        assert planner._lambda_zero((2, 0, 1), 3, 3, 5) == 0
 
     def test_range(self):
         rng = random.Random(401)
@@ -116,7 +123,7 @@ class TestLambdaZero:
             lam = tuple(rng.randrange(p) for _ in range(4))
             upto = rng.randrange(5)
             r = rng.randrange(-3, 7)
-            l0 = lambda_zero(lam, upto, r, p)
+            l0 = planner._lambda_zero(lam, upto, r, p)
             assert 0 <= l0 <= p - 2
             assert (l0 + sum(lam[:upto])) % (p - 1) == r % (p - 1)
 
@@ -142,6 +149,7 @@ class TestPathFromM:
                     i * mu[i - 1] for i in range(1, s)
                 )
                 assert len(path_from_M(mu, p)) == expected
+                assert path_from_M(mu, p) == planner_oracle.path_from_M(mu, p)
 
 
 class TestPlanPath:
@@ -202,18 +210,18 @@ class TestPlanPath:
             for lam in all_restricted(n, p):
                 if not any(lam):
                     continue
-                l_lam = ell(lam, p)
+                l_lam = planner._ell(lam, p)
                 if l_lam == 0:
                     continue  # Steinberg never lands in this case
-                steps = lambda_zero(lam, l_lam, 0, p)
+                steps = planner._lambda_zero(lam, l_lam, 0, p)
                 w = lam
                 for _ in range(steps):
-                    w = move_add_first(w, p)
+                    w = dict(certified_moves(w, p))[Move("add_first")]
                 while True:
                     s = first_nonzero_position(w)
                     if s is None or s >= l_lam:
                         break
-                    w = move_clear_forward(w, p)
+                    w = dict(certified_moves(w, p))[Move("clear_forward", s)]
                     steps += 1
                 assert steps <= (n - 1) * (p - 1)
                 assert w[l_lam - 1] in (0, p - 1)
@@ -290,7 +298,7 @@ class TestPlanProperties:
         w = lam
         for move, nxt in zip(plan.moves, plan.waypoints[1:]):
             validate_move(w, nxt, p)  # a certified edge ...
-            assert apply_move(w, move, p) == nxt  # ... carrying this label
+            assert (move, nxt) in certified_moves(w, p)  # ... carrying this label
             w = nxt
         assert w == mu
         assert f_value(mu) - f_value(lam) <= plan.length <= length_bound(n, p)
@@ -317,7 +325,7 @@ class TestPathPlanSerialization:
         plan = plan_path(lam, mu, p)
         for move, w, nxt in zip(plan.moves, plan.waypoints, plan.waypoints[1:]):
             stated = {i % len(w) for i in planner._changes(move)}
-            assert apply_move(w, move, p) == nxt
+            assert (move, nxt) in certified_moves(w, p)
             assert {i for i, (a, b) in enumerate(zip(w, nxt)) if a != b} <= stated
 
 
@@ -346,7 +354,7 @@ class TestInvariantGuards:
 
         monkeypatch.setattr(planner, "_effect", corrupted)
         # Steinberg -> (0,0,2,1) carries to position 3 both in plan_path's
-        # own seeding step and in path_from_M.
+        # own seeding step and in the walk from M(mu) to mu.
         with pytest.raises(InvariantViolationError):
             plan_path((2, 2, 2, 2), (0, 0, 2, 1), 3)
 
@@ -512,8 +520,8 @@ class TestFactorization:
     @given(weight_pairs(ends=True).map(lambda c: c[1:]))
     def test_waypoint_is_M_without_its_seed(self, case):
         mu, p = case
-        expected = list(capital_M_of(mu, p))
-        s = s_mu(mu, p)
+        expected = list(planner_oracle.capital_M_of(mu, p))
+        s = planner_oracle.s_mu(mu, p)
         if s:
             expected[s - 1] -= 1
         key = planner._waypoint_key(mu, p)
