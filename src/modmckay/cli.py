@@ -13,15 +13,14 @@ CertifiedGraph objects, and every other format by calling the view of
 that name, so each output is built only when asked for.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
-by ``_encode`` into one list of pieces.  With an indent, ``json.dumps``
-runs the stdlib's pure-Python encoder; here scalars go through its C
-encoder instead, and so does a list of numbers, booleans and nulls or a
-list of rows of them: one C call for the whole list, re-indented by
-whole-string replaces, so a graph's vertices or a canonical path cost
-one C call.  A plan renders from its run-length blocks, never through
-its to_json_dict: each distinct move label once, a block as its unit's
-text repeated, and each waypoint row from cached cells, one per entry
-value, of which each move replaces only those of the entries it changes.
+by ``_encode`` into one list of pieces.  Scalars go through the stdlib's
+C encoder.  A list of numbers, booleans and nulls, or of rows of them,
+is one C call re-indented by whole-string replaces (``_bulk``).  A list
+of dicts with the same keys, whose values are scalars or int rows, such
+as ``bfs``'s distances, fills one item template from cached cells
+(``_records``).  A plan renders from its blocks (``_plan_json``): each
+distinct move label once, a block as its unit's text repeated, and the
+waypoint rows from cached cells.
 
 Exit codes: 0 success; 1 verification failure (``verify``,
 ``validate``) or a planner invariant violation, reported as ``error:``
@@ -38,7 +37,7 @@ import math
 import random
 import sys
 from collections.abc import Callable
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -63,7 +62,6 @@ from .planner import (
     InvariantViolationError,
     PathPlan,
     _Builder,
-    _changes,
     _from_waypoint,
     _to_waypoint,
     _unit,
@@ -184,11 +182,42 @@ def _bulk(obj, indent: str, inner: str) -> str | None:
     return text.replace(", ", "," + cell)
 
 
+def _records(obj, indent: str, inner: str) -> str | None:
+    """The nonempty list ``obj`` of dicts from one item template, when the
+    items have the same str keys in the same order and each key's values
+    are all JSON scalars or all nonempty int rows of one length; else None.
+    The template's constant text alternates with the values' texts."""
+    keys = tuple(obj[0])
+    alike = all(type(item) is dict and tuple(item) == keys for item in obj)
+    if not alike or set(map(type, keys)) != {str}:
+        return None
+    member = inner + "  "
+    slots, head = [], "{"  # per item: constant text, a value's text, ...
+    for key, column in zip(keys, zip(*map(dict.values, obj))):
+        head += ("," if slots else "") + member + encode_basestring_ascii(key) + ": "
+        if all(isinstance(v, _SCALARS) for v in column):
+            slots += repeat(head), [_FAST.get(type(v), _compact)(v) for v in column]
+            head = ""
+            continue
+        # Entry types before a set of entries, which keeps one of True and 1.
+        rows = set(map(type, column)) <= {list, tuple} and len(set(map(len, column))) == 1
+        if not rows or set(map(type, chain.from_iterable(column))) != {int}:
+            return None
+        cells = {v: member + "  " + str(v) for v in set(chain.from_iterable(column))}
+        for at, entries in enumerate(zip(*column)):
+            slots += repeat(head + ("," if at else "[")), map(cells.__getitem__, entries)
+            head = ""
+        head = member + "]"
+    slots.append(repeat(head + inner + "}"))
+    return "[" + inner + ("," + inner).join(map("".join, zip(*slots))) + indent + "]"
+
+
 def _encode(obj, indent: str, append) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
     ``indent`` (a newline and the spaces of the enclosing level).  Lists
     of numbers, and lists of rows of them, take one C-encoder call each
-    (``_bulk``); a plan renders from its blocks (``_plan_json``)."""
+    (``_bulk``), lists of like dicts one template (``_records``), and a
+    plan renders from its blocks (``_plan_json``)."""
     if isinstance(obj, _SCALARS):
         append(_compact(obj))
     elif isinstance(obj, (list, tuple)):
@@ -196,11 +225,10 @@ def _encode(obj, indent: str, append) -> None:
             append("[]")
             return
         inner = indent + "  "
-        if not isinstance(obj[0], (str, dict)):
-            text = _bulk(obj, indent, inner)
-            if text is not None:
-                append(text)
-                return
+        text = (_records if isinstance(obj[0], dict) else _bulk)(obj, indent, inner)
+        if text is not None:
+            append(text)
+            return
         sep = "[" + inner
         for item in obj:
             append(sep)
@@ -238,9 +266,8 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
     """Append the pieces of ``json.dumps(plan.to_json_dict(), indent=2)``
     nested at ``indent``, rendered from the plan's blocks.  Each distinct
     move's label is rendered once, and a block ``(kind, at, k)`` is the
-    text of its unit (planner._unit) joined k times.  A waypoint row is a
-    list of cells, one string per entry value; after each move only the
-    cells of the entries it changes (planner._changes) are replaced."""
+    text of its unit (planner._unit) joined k times, and the waypoints
+    are rows of cells, one per entry value (PathPlan._rows)."""
     inner = indent + "  "
     item = inner + "  "
     _members((
@@ -248,7 +275,7 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
         ("target", plan.target), ("length", plan.length),
     ), inner, append)
 
-    labels, changes, blocks = {}, {}, []
+    labels, blocks = {}, []
     join = ("," + item).join
     for kind, at, k in plan.blocks:
         unit = _unit(kind, at)
@@ -257,21 +284,13 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
                 pieces: list[str] = []
                 _encode(move.to_json_dict(), item, pieces.append)
                 labels[move] = "".join(pieces)
-                changes[move] = _changes(move)
         blocks.append(join(repeat(join([labels[move] for move in unit]), k)))
     moves = "[" + item + join(blocks) + inner + "]" if blocks else "[]"
     append("," + inner + '"moves": ' + moves)
 
-    cells = [item + "  " + str(v) for v in range(plan.p)]
-    row = [cells[v] for v in plan.source]
+    rows = plan._rows([item + "  " + str(v) for v in range(plan.p)])
     append("," + inner + '"waypoints": [' + item + "[")
-    append(",".join(row))
-    between = item + "]," + item + "["
-    for move, cur in plan._walk():
-        for i in changes[move]:
-            row[i] = cells[cur[i]]
-        append(between)
-        append(",".join(row))
+    append((item + "]," + item + "[").join(rows))
     append(item + "]" + inner + "]" + indent + "}")
 
 
@@ -402,11 +421,10 @@ def _cmd_plan(args):
     plan = plan_path(args.src, args.tgt, args.p)
 
     def text() -> str:
-        return (
-            f"source {format_weight(plan.source)}\n"
-            f"target {format_weight(plan.target)}\n"
-            f"length {plan.length}\n"
-        ) + "".join(f"{move} -> {format_weight(w)}\n" for move, w in plan._walk())
+        rows = plan._rows([str(v) for v in range(plan.p)])
+        head = f"source {next(rows)}\ntarget {format_weight(plan.target)}\n"
+        steps = "".join(f"{move} -> {w}\n" for move, w in zip(plan._moves(), rows))
+        return f"{head}length {plan.length}\n{steps}"
 
     return plan, {
         "text": text,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from operator import xor
 
 from .moves import Move, _successors
@@ -214,11 +214,9 @@ def walk_to_dot(name: str, waypoints: Iterable[Weight], labels: Iterable[str]) -
 
 def plan_to_dot(plan: PathPlan) -> str:
     """A plan as a DOT path labelled by its moves, expanded once."""
-    names, labels = [format_weight(plan.source)], []
-    for move, w in plan._walk():
-        names.append(format_weight(w))
-        labels.append(str(move))
-    return _dot(f"plan_n{plan.n}_p{plan.p}", names, list(zip(names, names[1:], labels)))
+    names = list(plan._rows([str(v) for v in range(plan.p)]))
+    edges = list(zip(names, names[1:], map(str, plan._moves())))
+    return _dot(f"plan_n{plan.n}_p{plan.p}", names, edges)
 
 
 def neighbors_to_dot(w: Weight, neighbors: set[tuple[str, Weight]]) -> str:
@@ -238,48 +236,62 @@ def distance_matrix_csv(g: CertifiedGraph) -> str:
     bit j is set.  A run of such rounds a..b adds the masks after b XOR
     those after a - 1, so the masks after round m enter plane j whenever
     bit j of m differs from that of m + 1, and the last masks enter the
-    planes of the bits of the last round.  A row turns each of its planes
-    into lanes, one per target, shifts them by j and adds them up; an
-    unreached target's lane holds one more than the largest distance.
+    planes of the bits of the last round.  Unreached targets, if any, are
+    reached in one more round, and their cells left empty.
+
+    Rows render in blocks of about 64 KB of lanes, one per (source,
+    target), one byte wide below distance 255.  A block's planes become
+    big ints of lanes that, shifted by j, add up to the values; one
+    bytes.translate per decimal digit writes the cells after "," with NUL
+    padding, deleted at the end.  Wider lanes are looked up one by one.
     """
     size = len(g.vertices)
     full = (1 << size) - 1
-    planes: list[list[int]] = []
+    planes: list = [None] * size.bit_length()
 
     def toggle(bits: int, masks: list[int]) -> None:
         for j in range(bits.bit_length()):
             if bits >> j & 1:
-                if j < len(planes):
-                    planes[j] = list(map(xor, planes[j], masks))
-                else:
-                    planes.append(masks)
+                planes[j] = masks if planes[j] is None else list(map(xor, planes[j], masks))
 
     traversal = _rounds(g, (size - 1).bit_length(), "the distance matrix")
     for k, (before, after) in enumerate(traversal):
         if k:
             toggle((k - 1) ^ k, before)
-    toggle(k, after)
     unreached = k + 1
-    # Lanes of one byte, or of four past 255 (UTF-16 would pair surrogates):
-    # bit t of a mask, as the character "0" or "1", encodes to lane t of a
-    # big-endian int, and the translation leaves the bit's value there.
+    if any(m != full for m in after):
+        toggle(k ^ unreached, after)
+        k, after = unreached, [full] * size
+    toggle(k, after)
+    del planes[k.bit_length() :]
+    # A cell is "," and its digits padded with NULs; tables[i] maps a lane
+    # to byte i of its cell.
+    stride = len(str(unreached - 1)) + 1
+    cells = [f",{d}".encode().ljust(stride, b"\0") for d in [*range(unreached), ""]]
+    tables = [bytes(column).ljust(256, b"\0") for column in zip(*cells)]
     width, codec = (1, "latin-1") if unreached < 256 else (4, "utf-32-be")
-    digit = bytes.maketrans(b"01", b"\0\1")
-    spec = f"0{size}b"
-
-    def lanes(mask: int) -> int:
-        return int.from_bytes(format(mask, spec).encode(codec).translate(digit), "big")
-
-    # A row decodes to one character per target whose code is the cell's
-    # value, and str.translate renders it.
-    cells = [f",{d}" for d in range(unreached)] + [","]
     # csv's minimal quoting, for labels made of digits and commas.
-    labels = [f'"{w}"' if "," in w else w for w in map(format_weight, g.vertices)]
-    rows = [",".join(["source", *labels]) + "\r\n"]
-    for s, label in enumerate(labels):
-        row = sum(lanes(plane[s]) << j for j, plane in enumerate(planes))
-        if after[s] != full:
-            row += lanes(full ^ after[s]) * unreached
-        values = row.to_bytes(size * width, "big").decode(codec, "surrogatepass")
-        rows.append(label + values[::-1].translate(cells) + "\r\n")
-    return "".join(rows)
+    labels = [(f'"{w}"' if "," in w else w).encode() for w in map(format_weight, g.vertices)]
+    out = [b",".join([b"source", *labels]).decode() + "\r\n"]
+    line, step = size * stride, max(1, (1 << 16) // (size * width))
+    for start in range(0, size, step):
+        rows = min(step, size - start)
+        # A mask's "0"s and "1"s encode to lanes of ord("0") plus the bit, so
+        # the lanes of all "0"s come off.  With the sources in reverse, the
+        # lowest lane is the block's first source and target 0.
+        zeros = int.from_bytes(("0" * rows * size).encode(codec), "big")
+        value = zeros - (zeros << len(planes))
+        for j, masks in enumerate(planes):
+            text = "".join(map(format, masks[start : start + rows][::-1], repeat(f"0{size}b")))
+            value += int.from_bytes(text.encode(codec), "big") << j
+        values = value.to_bytes(rows * size * width, "little")
+        if width == 1:
+            grid = bytearray(len(values) * stride)
+            for i, table in enumerate(tables):
+                grid[i::stride] = values.translate(table)
+        else:
+            grid = b"".join(map(cells.__getitem__, map(ord, values.decode("utf-32-le"))))
+        heads, view = zip(labels[start:], range(0, len(grid), line)), memoryview(grid)
+        block = b"\r\n".join(label + view[i : i + line] for label, i in heads)
+        out.append(block.translate(None, b"\0").decode() + "\r\n")
+    return "".join(out)

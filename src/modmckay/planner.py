@@ -199,6 +199,16 @@ class PathPlan:
             _effect(cur, move.kind, move.s or 1, 1, p)
             yield move, cur
 
+    def _rows(self, cells: list[str]) -> Iterator[str]:
+        """The source and the weight after each move, as the ``cells`` of
+        their values joined by commas; a move replaces only its entries'."""
+        row = [cells[v] for v in self.source]
+        yield ",".join(row)
+        for move, cur in self._walk():
+            for i in _changes(move):
+                row[i] = cells[cur[i]]
+            yield ",".join(row)
+
     @property
     def moves(self) -> tuple[Move, ...]:
         """Every move, expanded from the blocks on each access."""

@@ -117,6 +117,13 @@ class TestGraphAndBfs:
         code, out, _ = run(capsys, "bfs", "--n", "2", "--p", "3", "--format", "csv")
         assert code == 0 and out.splitlines()[0] == "source,0,1,2"
 
+    def test_bfs_json_matches_json_dumps(self, capsys):
+        # 2,187 rows of {"weight": [...], "distance": d}, one item template.
+        code, out, _ = run(capsys, "bfs", "--n", "8", "--p", "3", "--from", "0,0,0,0,0,0,0",
+                           "--format", "json")
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(json.loads(out)["distances"]) == 2187
+
     def test_bfs_without_source_needs_csv(self, capsys):
         code, _, err = run(capsys, "bfs", "--n", "2", "--p", "3")
         assert code == 2 and "needs --from" in err
@@ -404,6 +411,33 @@ _PAYLOADS = st.recursive(
 )
 
 
+@st.composite
+def _like_dicts(draw):
+    """A list of dicts with the same str keys in the same order, each
+    key's values all scalars or all int rows of one length, sometimes with
+    one value or one item's key order changed to a shape that falls back."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(1, 6))
+    columns = []
+    for _ in keys:
+        width = draw(st.integers(0, 3))  # 0: scalars
+        row = st.lists(st.integers(), min_size=width, max_size=width)
+        values = st.one_of(row, row.map(tuple)) if width else _SCALARS
+        columns.append(draw(st.lists(values, min_size=count, max_size=count)))
+    items = [dict(zip(keys, values)) for values in zip(*columns)]
+    item = draw(st.sampled_from(items))
+    key = draw(st.sampled_from(keys))
+    change = draw(st.sampled_from(["none", "order", "value"]))
+    if change == "order":
+        for k in list(item)[:1]:
+            item[k] = item.pop(k)  # the first key last
+    elif change == "value":
+        item[key] = draw(st.sampled_from(
+            [{"a": 1}, {}, [], (), [1, 2, 3, 4, 5], [True], [1.0], [None], [[1]], "x", 1.5]
+        ))
+    return items
+
+
 # Dict objects that the payloads below hold several times, at two depths.
 _LABEL = {"kind": "clear_forward", "s": 2}
 _ADD_FIRST = {"kind": "add_first"}
@@ -415,6 +449,21 @@ class TestJsonEncoder:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_PLANS, _PAYLOADS))
     def test_matches_json_dumps(self, payload):
+        assert cli._json(payload) == _dumps(payload)
+
+    # Lists of dicts with like keys render from one item template.
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_like_dicts(), st.lists(_like_dicts(), max_size=3)))
+    def test_records_match_json_dumps(self, payload):
+        assert cli._json(payload) == _dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        [{"a": 1, "b": 2}, {"b": 1, "a": 2}], [{"a": 1}, {"b": 1}], [{"a": {"b": 1}}],
+        [{"a": []}, {"a": []}], [{"a": [1, 2]}, {"a": [3]}], [{"a": [1]}, {"a": [True]}],
+        [{"a": 1}, {"a": True}], [{"a": (1, 2)}, {"a": [3, 4]}], [{"a{}": '"\u2603'}],
+        [{"a": 1}, {"a": [1]}], [{1: 2}], [{"a": 1}, [1]], [{"a": [Move("add_first")]}],
+    ])
+    def test_record_fallbacks_match_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)
 
     @pytest.mark.parametrize("payload", [

@@ -19,6 +19,9 @@ from modmckay.cli import main
 
 ZERO_40 = ",".join(["0"] * 39)
 STEINBERG_40_11 = ",".join(["10"] * 39)
+# A case's test ID is its argv with these weights named, so that every ID
+# stays short enough to read in a listing.
+NAMES = {ZERO_40: "zero", STEINBERG_40_11: "St"}
 
 # (argv, exit code, sha256 of stdout, stderr)
 GOLDEN = [
@@ -178,7 +181,17 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv, code, out_sha, err", GOLDEN, ids=[g[0] for g in GOLDEN])
+def _label(argv: str) -> str:
+    return " ".join(NAMES.get(word, word) for word in argv.split())
+
+
+def test_labels_are_short_and_distinct():
+    labels = [_label(g[0]) for g in GOLDEN]
+    assert len(set(labels)) == len(labels)
+    assert max(map(len, labels)) <= 60
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err", GOLDEN, ids=[_label(g[0]) for g in GOLDEN])
 def test_golden_output(capsys, argv, code, out_sha, err):
     assert main(argv.split()) == code
     captured = capsys.readouterr()

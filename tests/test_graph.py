@@ -209,6 +209,29 @@ class TestDistanceMatrix:
         assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
         assert max(int(cell) for line in text.splitlines()[1:] for cell in line.split(",")[1:]) == 256
 
+    def test_three_digit_cells_in_one_byte_lanes(self):
+        # (2, 199) is a path of 199 vertices: distances up to 198, below 255.
+        g = build_certified_graph(2, 199)
+        text = distance_matrix_csv(g)
+        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
+        assert max(int(cell) for line in text.splitlines()[1:] for cell in line.split(",")[1:]) == 198
+
+    def test_rows_span_more_than_one_block(self):
+        # A block holds about 64 KB of one-byte lanes, and 289^2 is more.
+        g = build_certified_graph(3, 17)
+        assert len(g.vertices) ** 2 > 1 << 16
+        assert sha256(distance_matrix_csv(g)) == sha256(graph_oracle.distance_matrix_csv(g))
+
+    def test_unreached_targets_beyond_a_longest_path(self):
+        # 0 -> 1 -> 2 -> 3 and no edge out of 3: distances reach V - 1 = 3,
+        # so the unreached cells need a third bit plane.
+        m = Move("add_first")
+        adjacency = (((m, 1),), ((m, 2),), ((m, 3),), ())
+        g = CertifiedGraph(n=2, p=4, vertices=((0,), (1,), (2,), (3,)), adjacency=adjacency)
+        text = distance_matrix_csv(g)
+        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
+        assert text.splitlines()[1:] == ["0,0,1,2,3", "1,,0,1,2", "2,,,0,1", "3,,,,0"]
+
     def test_unreached_targets_are_empty_cells(self):
         g = sink_graph()
         text = distance_matrix_csv(g)
