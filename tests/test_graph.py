@@ -122,7 +122,8 @@ def bfs_diameter(g):
 
 
 # Every (n, p) with at most 2,200 vertices for these p: n = 2 for each,
-# and p = 2, whose add_first edges include self-loops.
+# and p = 2, whose add_first edges include self-loops.  Above 256 vertices
+# the CSV matrix renders in several blocks of rows, 9 at (7,3), 76 at (8,3).
 ORACLE_SIZES = [
     (n, p)
     for p in (2, 3, 5, 7, 11, 13)
@@ -215,12 +216,6 @@ class TestDistanceMatrix:
         text = distance_matrix_csv(g)
         assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
         assert max(int(cell) for line in text.splitlines()[1:] for cell in line.split(",")[1:]) == 198
-
-    def test_rows_span_more_than_one_block(self):
-        # A block holds about 64 KB of one-byte lanes, and 289^2 is more.
-        g = build_certified_graph(3, 17)
-        assert len(g.vertices) ** 2 > 1 << 16
-        assert sha256(distance_matrix_csv(g)) == sha256(graph_oracle.distance_matrix_csv(g))
 
     def test_unreached_targets_beyond_a_longest_path(self):
         # 0 -> 1 -> 2 -> 3 and no edge out of 3: distances reach V - 1 = 3,
