@@ -247,7 +247,7 @@ def distance_matrix_csv(g: CertifiedGraph) -> str:
     """
     size = len(g.vertices)
     full = (1 << size) - 1
-    planes: list = [None] * size.bit_length()
+    planes: list = [None] * size.bit_length()  # cell values are at most V
 
     def toggle(bits: int, masks: list[int]) -> None:
         for j in range(bits.bit_length()):
