@@ -14,10 +14,10 @@ that name, so each output is built only when asked for.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
 by ``_encode`` into one list of pieces.  Scalars go through the stdlib's
-C encoder.  A list of numbers, booleans and nulls, or of rows of them,
-is one C call re-indented by whole-string replaces (``_bulk``).  A list
-of dicts with the same keys, whose values are scalars or int rows, such
-as ``bfs``'s distances, fills one item template from cached cells
+C encoder.  A list of ints, such as a weight, is one join; any other
+list renders item by item, so a list of weights joins row by row.  A
+list of dicts with the same keys, whose values are scalars or int rows,
+such as ``bfs``'s distances, fills one item template from cached cells
 (``_records``).  A plan renders from its blocks (``_plan_json``): each
 distinct move label once, a block as its unit's text repeated, and the
 waypoint rows from cached cells.
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import random
 import sys
 from collections.abc import Callable
@@ -54,6 +53,7 @@ from .graph import (
 from .moves import (
     NoSuchEdgeError,
     _certify,
+    _successors,
     certified_moves,
     first_nonzero_position,
     validate_move,
@@ -72,6 +72,8 @@ from .planner import (
 )
 from .weights import (
     Weight,
+    _f,
+    _partition,
     f_value,
     format_weight,
     parse_weight,
@@ -110,6 +112,32 @@ def _weight_arg(text: str, n: int | None) -> Weight:
     return w
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below
+# 3,317,044,064,679,887,385,961,981, the least composite that is a strong
+# pseudoprime to all of them; the primes up to 37 alone pass the composite
+# 318,665,857,834,031,151,167,461.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(p: int) -> bool:
+    """Whether p is prime, by Miller-Rabin over _BASES; above their bound
+    it is also true of a composite that is a strong pseudoprime to all."""
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    for a in _BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):  # some x**(2**j), j < s, must be -1
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
 def _check_args(args, cmd: _Command) -> None:
     """Validate --n and --p and parse the given weights in place, so
     every handler receives checked values."""
@@ -121,8 +149,7 @@ def _check_args(args, cmd: _Command) -> None:
     if "p" in cmd.options:
         if args.p < 2:
             raise ValueError(f"need p >= 2, got {args.p}")
-        composite = any(args.p % d == 0 for d in range(2, math.isqrt(args.p) + 1))
-        if composite and not args.allow_nonprime:
+        if not (args.allow_nonprime or _is_prime(args.p)):
             raise ValueError(
                 f"p = {args.p} is not prime; pass --allow-nonprime to experiment anyway"
             )
@@ -149,37 +176,6 @@ def _key(key) -> str:
     if isinstance(key, (int, float)) or key is None:  # bool is an int
         return '"' + _compact(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _bulk(obj, indent: str, inner: str) -> str | None:
-    """The nonempty list ``obj`` rendered from one C-encoder call, when it
-    is a flat list of numbers, booleans and nulls or a list of nonempty
-    such rows; None otherwise.  Without strings and objects the compact
-    text of a flat list holds ", " only between items.  In a list of rows,
-    "[" opens the list and each row and nothing else, so "[[" and "]]"
-    occur only at the ends and "], [" only between rows.  Each replace
-    rebinds the text, so every copy frees the one before."""
-    try:
-        text = _compact(obj)
-    except TypeError:  # an object for to_json_dict
-        return None
-    if '"' in text or "{" in text:
-        return None
-    if not isinstance(obj[0], (list, tuple)):
-        if text.count("[") != 1:
-            return None
-        return "[" + inner + text[1:-1].replace(", ", "," + inner) + indent + "]"
-    if (
-        "[]" in text
-        or text.count("[") != len(obj) + 1
-        or not all(isinstance(row, (list, tuple)) for row in obj)
-    ):
-        return None
-    cell = inner + "  "
-    text = text.replace("[[", "[" + inner + "[" + cell, 1)
-    text = text.replace("]]", inner + "]" + indent + "]")
-    text = text.replace("], [", inner + "]," + inner + "[" + cell)
-    return text.replace(", ", "," + cell)
 
 
 def _records(obj, indent: str, inner: str) -> str | None:
@@ -214,10 +210,10 @@ def _records(obj, indent: str, inner: str) -> str | None:
 
 def _encode(obj, indent: str, append) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
-    ``indent`` (a newline and the spaces of the enclosing level).  Lists
-    of numbers, and lists of rows of them, take one C-encoder call each
-    (``_bulk``), lists of like dicts one template (``_records``), and a
-    plan renders from its blocks (``_plan_json``)."""
+    ``indent`` (a newline and the spaces of the enclosing level).  A list
+    of ints (not bools) is one join, a list of like dicts one template
+    (``_records``), any other list one item at a time, and a plan renders
+    from its blocks (``_plan_json``)."""
     if isinstance(obj, _SCALARS):
         append(_compact(obj))
     elif isinstance(obj, (list, tuple)):
@@ -225,7 +221,10 @@ def _encode(obj, indent: str, append) -> None:
             append("[]")
             return
         inner = indent + "  "
-        text = (_records if isinstance(obj[0], dict) else _bulk)(obj, indent, inner)
+        if all(type(v) is int for v in obj):
+            append("[" + inner + ("," + inner).join(map(str, obj)) + indent + "]")
+            return
+        text = _records(obj, indent, inner) if isinstance(obj[0], dict) else None
         if text is not None:
             append(text)
             return
@@ -267,7 +266,7 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
     nested at ``indent``, rendered from the plan's blocks.  Each distinct
     move's label is rendered once, and a block ``(kind, at, k)`` is the
     text of its unit (planner._unit) joined k times, and the waypoints
-    are rows of cells, one per entry value (PathPlan._rows)."""
+    are rows of cells, one per entry value met (PathPlan._rows)."""
     inner = indent + "  "
     item = inner + "  "
     _members((
@@ -288,7 +287,7 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
     moves = "[" + item + join(blocks) + inner + "]" if blocks else "[]"
     append("," + inner + '"moves": ' + moves)
 
-    rows = plan._rows([item + "  " + str(v) for v in range(plan.p)])
+    rows = plan._rows(item + "  ")
     append("," + inner + '"waypoints": [' + item + "[")
     append((item + "]," + item + "[").join(rows))
     append(item + "]" + inner + "]" + indent + "}")
@@ -352,7 +351,8 @@ def _cmd_canonical_path(args):
 
     def dot() -> str:
         kinds = [_lr_kind(a, b) for a, b in zip(path, path[1:])]
-        return graph_mod.walk_to_dot(f"canonical_n{args.n}_p{args.p}", path, kinds)
+        name = f"canonical_n{args.n}_p{args.p}"
+        return graph_mod.walk_to_dot(name, map(format_weight, path), kinds)
 
     return payload, {
         "text": lambda: "".join(format_weight(w) + "\n" for w in path),
@@ -421,15 +421,16 @@ def _cmd_plan(args):
     plan = plan_path(args.src, args.tgt, args.p)
 
     def text() -> str:
-        rows = plan._rows([str(v) for v in range(plan.p)])
-        head = f"source {next(rows)}\ntarget {format_weight(plan.target)}\n"
-        steps = "".join(f"{move} -> {w}\n" for move, w in zip(plan._moves(), rows))
+        waypoints = plan._rows()
+        head = f"source {next(waypoints)}\ntarget {format_weight(plan.target)}\n"
+        steps = "".join(f"{move} -> {w}\n" for move, w in zip(plan._moves(), waypoints))
         return f"{head}length {plan.length}\n{steps}"
 
-    return plan, {
-        "text": text,
-        "dot": lambda: graph_mod.plan_to_dot(plan),
-    }, 0
+    def dot() -> str:
+        name = f"plan_n{plan.n}_p{plan.p}"
+        return graph_mod.walk_to_dot(name, plan._rows(), map(str, plan._moves()))
+
+    return plan, {"text": text, "dot": dot}, 0
 
 
 @_command("graph", "the certified subgraph for (n, p)", "p", "vertex-budget",
@@ -545,7 +546,8 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     checks.append(
         ("out-degree is 1 or 2", all(len(adj) in (1, 2) for adj in g.adjacency))
     )
-    fs = [f_value(w) for w in g.vertices]
+    # The enumerated vertices are p-restricted: the kernels below trust them.
+    fs = [_f(w) for w in g.vertices]
     checks.append(
         (
             "f-law f(head) <= f(tail)+1 on every edge",
@@ -587,13 +589,13 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     zero_row = bfs_distances(g, zero)
     checks.append(("d(0,St) equals the bound", zero_row[g.index_of(st)] == bound))
 
+    # A certified move leads from a p-restricted weight to one, and so does
+    # each step of a path from zero that passes.
     path = canonical_path_char0(n, p)
-    canonical_ok = len(path) - 1 == bound and path[0] == zero and path[-1] == st
-    try:
-        for a, b in zip(path, path[1:]):
-            validate_move(a, b, p)
-    except NoSuchEdgeError:
-        canonical_ok = False
+    canonical_ok = (
+        len(path) - 1 == bound and path[0] == zero and path[-1] == st
+        and all(any(t == b for _, t in _successors(a, p)) for a, b in zip(path, path[1:]))
+    )
     checks.append(("canonical path valid, length equals bound", canonical_ok))
 
     conormal_ok = True
@@ -601,7 +603,7 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     # One partition and one conormal set per vertex serve both checks.  The
     # clearing row 1 + a_1 is 1 + the first nonzero position.
     for w, adj in zip(g.vertices, g.adjacency):
-        parts = weight_to_partition(w)
+        parts = _partition(w)
         con = _rows(parts, p)[2]
         s = first_nonzero_position(w)
         if 1 not in con or (s is not None and 1 + s not in con):

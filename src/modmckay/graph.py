@@ -26,7 +26,6 @@ from itertools import product, repeat
 from operator import xor
 
 from .moves import Move, _successors
-from .planner import PathPlan
 from .weights import Weight, format_weight
 
 DEFAULT_VERTEX_BUDGET = 10**6
@@ -198,25 +197,17 @@ def graph_to_dot(g: CertifiedGraph) -> str:
     """Deterministic DOT rendering with move-kind edge labels."""
     nodes = [format_weight(w) for w in g.vertices]
     edges = [
-        (format_weight(w), format_weight(g.vertices[j]), str(move))
-        for w, adj in zip(g.vertices, g.adjacency)
-        for move, j in adj
+        (nodes[i], nodes[j], str(move)) for i, adj in enumerate(g.adjacency) for move, j in adj
     ]
     return _dot(f"certified_n{g.n}_p{g.p}", nodes, edges)
 
 
-def walk_to_dot(name: str, waypoints: Iterable[Weight], labels: Iterable[str]) -> str:
-    """A walk as a DOT path with one label per step; a vertex visited
-    twice keeps one node, and a walk of one waypoint renders that vertex."""
-    names = [format_weight(w) for w in waypoints]
+def walk_to_dot(name: str, nodes: Iterable[str], labels: Iterable[str]) -> str:
+    """A walk as a DOT path through its waypoints' formatted ``nodes``,
+    with one label per step; a vertex visited twice keeps one node, and a
+    walk of one waypoint renders that vertex."""
+    names = list(nodes)
     return _dot(name, names, list(zip(names, names[1:], labels)))
-
-
-def plan_to_dot(plan: PathPlan) -> str:
-    """A plan as a DOT path labelled by its moves, expanded once."""
-    names = list(plan._rows([str(v) for v in range(plan.p)]))
-    edges = list(zip(names, names[1:], map(str, plan._moves())))
-    return _dot(f"plan_n{plan.n}_p{plan.p}", names, edges)
 
 
 def neighbors_to_dot(w: Weight, neighbors: set[tuple[str, Weight]]) -> str:

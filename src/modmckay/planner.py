@@ -125,28 +125,21 @@ def _travel(x: int) -> tuple[Move, ...]:
     return (_ADD_FIRST_MOVE,) + tuple(_clear_forward(k) for k in range(1, x))
 
 
-def _effect(cur: list[int], kind: str, at: int, k: int, p: int) -> None:
+def _effect(cur: list[int], kind: str, at: int, k: int, p: int) -> tuple[int, ...]:
     """Apply a certified run of k moves to the running weight ``cur`` in
-    place, trusting its precondition.  A single move is the run of its own
+    place, trusting its precondition, and return the entries, 0-based,
+    that it changes: the last (as -1) for clear_last, at-1 and at for
+    clear_forward, at-1 for a travel.  A single move is the run of its own
     kind at its position with k = 1; add_first is a travel to position 1."""
     if kind == CLEAR_LAST:
         cur[-1] -= k
-    elif kind == CLEAR_FORWARD:
+        return (-1,)
+    if kind == CLEAR_FORWARD:
         cur[at - 1] -= k
         cur[at] = _rep(cur[at] + k, p)
-    else:
-        cur[at - 1] = _rep(cur[at - 1] + k, p)
-
-
-def _changes(move: Move) -> tuple[int, ...]:
-    """The entries, 0-based, that ``move`` changes when _effect applies
-    it: the last for clear_last, s-1 and s for clear_forward(s), the
-    first for add_first."""
-    if move.kind == CLEAR_LAST:
-        return (-1,)
-    if move.kind == CLEAR_FORWARD:
-        return (move.s - 1, move.s)
-    return (0,)
+        return (at - 1, at)
+    cur[at - 1] = _rep(cur[at - 1] + k, p)
+    return (at - 1,)
 
 
 def _unit(kind: str, at: int) -> tuple[Move, ...]:
@@ -190,23 +183,30 @@ class PathPlan:
             for _ in range(k):
                 yield from unit
 
-    def _walk(self) -> Iterator[tuple[Move, list[int]]]:
-        """Each move with the weight it reaches, in one pass.  The weight
-        is one list updated in place, so keep a copy, not the list."""
+    def _walk(self) -> Iterator[tuple[Move, list[int], tuple[int, ...]]]:
+        """Each move with the weight it reaches and the entries it changes,
+        in one pass.  The weight is one list updated in place, so keep a
+        copy, not the list."""
         cur = list(self.source)
         p = self.p
         for move in self._moves():
-            _effect(cur, move.kind, move.s or 1, 1, p)
-            yield move, cur
+            yield move, cur, _effect(cur, move.kind, move.s or 1, 1, p)
 
-    def _rows(self, cells: list[str]) -> Iterator[str]:
-        """The source and the weight after each move, as the ``cells`` of
-        their values joined by commas; a move replaces only its entries'."""
+    def _rows(self, prefix: str = "") -> Iterator[str]:
+        """The source and the weight after each move, as cells of their
+        values, each ``prefix`` and the digits, joined by commas; a move
+        replaces only its entries' cells.  A cell is made once per value
+        met, not per value below p, which may be huge."""
+        cells = {v: prefix + str(v) for v in self.source}
         row = [cells[v] for v in self.source]
         yield ",".join(row)
-        for move, cur in self._walk():
-            for i in _changes(move):
-                row[i] = cells[cur[i]]
+        for _, cur, changed in self._walk():
+            for i in changed:
+                v = cur[i]
+                try:
+                    row[i] = cells[v]
+                except KeyError:
+                    row[i] = cells[v] = prefix + str(v)
             yield ",".join(row)
 
     @property
@@ -217,7 +217,7 @@ class PathPlan:
     @property
     def waypoints(self) -> tuple[Weight, ...]:
         """The source and the weight after each move, expanded likewise."""
-        return (self.source,) + tuple(tuple(w) for _, w in self._walk())
+        return (self.source,) + tuple(tuple(w) for _, w, _ in self._walk())
 
     def to_json_dict(self) -> dict:
         """The plan as JSON data, its moves and waypoints built in one
@@ -225,7 +225,7 @@ class PathPlan:
         from its blocks instead (cli._plan_json), to the same text."""
         moves = []
         waypoints = [list(self.source)]
-        for move, w in self._walk():
+        for move, w, _ in self._walk():
             moves.append(move.to_json_dict())
             waypoints.append(w[:])
         return {

@@ -1,7 +1,9 @@
+import enum
 import gc
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,19 @@ class TestPlanCommand:
         code, out, _ = run(capsys, "plan", "--p", "3", "--from", "2", "--to", "1")
         assert code == 0
         assert "length 1" in out and "add_first -> 1" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_rows_cost_no_memory_per_value_of_p(self, capsys, fmt):
+        # One move at a large prime: the rows hold cells of the values met,
+        # not of every value below p (about 60 MB here).
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "plan", "--p", "1000003", "--from", "1", "--to", "2",
+                               "--format", fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1 << 20
 
 
 class TestValidateCommand:
@@ -298,6 +313,20 @@ class TestErrorHandling:
         code, _, err = run(capsys, "diameter", "--n", "2", "--p", "4")
         assert code == 2 and "not prime" in err
 
+    def test_primality_matches_trial_division(self):
+        for p in range(10**5):
+            prime = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+            assert cli._is_prime(p) == prime, p
+
+    # Carmichael numbers, a product of two Mersenne primes, and the least
+    # strong pseudoprime to the twelve prime bases up to 37.
+    @pytest.mark.parametrize("p", [
+        561, 41041, (2**31 - 1) * (2**61 - 1), 318665857834031151167461,
+    ])
+    def test_pseudoprimes_rejected(self, capsys, p):
+        code, _, err = run(capsys, "moves", "--p", str(p), "--weight", "1")
+        assert code == 2 and f"p = {p} is not prime" in err
+
     def test_nonprime_p_allowed_with_flag(self, capsys):
         code, out, _ = run(
             capsys, "diameter", "--n", "2", "--p", "4", "--allow-nonprime"
@@ -438,6 +467,12 @@ def _like_dicts(draw):
     return items
 
 
+# An int subclass, which the one join must not take: before Python 3.11
+# its str is "_Digit.ONE".
+class _Digit(enum.IntEnum):
+    ONE = 1
+
+
 # Dict objects that the payloads below hold several times, at two depths.
 _LABEL = {"kind": "clear_forward", "s": 2}
 _ADD_FIRST = {"kind": "add_first"}
@@ -471,6 +506,9 @@ class TestJsonEncoder:
         [0.5, math.nan, -math.inf, True, None], {1: 1, 2.5: 2, True: 3, None: 4},
         [[1, [2], 3]], [[1, 2], 3], [[1, [2]], 3], [[1], []], [[]], [[[1]]], [(1, 2), [3]],
         [[math.nan, True, None], [-0.0, 1e300]],
+        # Only lists of exact ints are one join.
+        [1, True], [True, 1], (2**70, -1, 0), [[1, 2], [3, True]], [[1], (2, 3)],
+        [1, _Digit.ONE, 2],
         [_LABEL, {"kind": "clear_last"}, _LABEL, _LABEL],
         [_LABEL, _ADD_FIRST, _LABEL, _ADD_FIRST],
         {"moves": [_LABEL, _LABEL], "nested": [[_LABEL, 1], [_LABEL]]},

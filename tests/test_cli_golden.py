@@ -47,6 +47,8 @@ GOLDEN = [
     ('moves --p 3 --weight 1,0', 0, 'b3460d1d053368d55c5edeab06df970c2ee0d7f6fb9173e66d31accdb5d4ccf0', ''),
     ('moves --p 3 --weight 0,0,1 --format json', 0, 'a017c6803d8d57ddda2a876072c61ea5d6c76423a6f100086ed9e071faec6b71', ''),
     ('moves --p 5 --weight 0,0', 0, '69f6795306d462cb267108967ded34b2bd03bd91c0087b8cacd93e3f67bd6386', ''),
+    # A prime of 19 digits: the primality check and the moves take no time.
+    ('moves --p 1000000000000000003 --weight 1', 0, '7e230532e5b3dab83079a465b70efe52af9796ec543f798f304da357bebd7643', ''),
     ('validate --p 3 --from 2,0 --to 1,0', 0, '20800c05062455d2e46847d28e89c70a3bf61efd461df5f345877a3744948d42', ''),
     ('validate --p 3 --from 2,0 --to 1,0 --format json', 0, '716cda556764a74f8f6700f70c13daf1f99f16090f19ad35339526e0bf4dd029', ''),
     ('validate --p 3 --from 0,1 --to 0,0 --format json', 0, 'cc3068910e3fb851388dd2e9a82554e1cff4b3d5b7114f33bc8d4c73e05bb39d', ''),

@@ -13,11 +13,10 @@ from modmckay.graph import (
     distance_matrix_csv,
     graph_to_dot,
     neighbors_to_dot,
-    plan_to_dot,
     subgraph_diameter,
 )
 from modmckay.moves import Move
-from modmckay.planner import length_bound, plan_path
+from modmckay.planner import length_bound
 from modmckay.weights import f_value, steinberg_weight
 from modmckay.char0 import lr_neighbors
 
@@ -249,15 +248,15 @@ class TestExports:
         assert '"1" -> "0" [label="clear_last"];' in dot
         assert dot == graph_to_dot(g)  # deterministic
 
-    def test_empty_plan_dot_has_isolated_node(self):
-        plan = plan_path((1, 0), (1, 0), 2)
-        dot = plan_to_dot(plan)
+    def test_empty_plan_dot_has_isolated_node(self, capsys):
+        assert main(["plan", "--p", "2", "--from", "1,0", "--to", "1,0", "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
         assert '"1,0";' in dot
         assert "->" not in dot
 
-    def test_plan_dot_edges_in_order(self):
-        plan = plan_path((0, 0), (1, 1), 2)
-        dot = plan_to_dot(plan)
+    def test_plan_dot_edges_in_order(self, capsys):
+        assert main(["plan", "--p", "2", "--from", "0,0", "--to", "1,1", "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
         assert '"0,0" -> "1,0" [label="add_first"];' in dot
         assert '"1,0" -> "0,1" [label="clear_forward(1)"];' in dot
 

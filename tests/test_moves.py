@@ -273,7 +273,7 @@ _PUBLIC = {
     "graph": [
         "BudgetExceededError", "CertifiedGraph", "bfs_distances",
         "build_certified_graph", "distance_matrix_csv", "graph_to_dot",
-        "neighbors_to_dot", "plan_to_dot", "subgraph_diameter", "walk_to_dot",
+        "neighbors_to_dot", "subgraph_diameter", "walk_to_dot",
     ],
     "cli": ["main", "run_verification"],
 }

@@ -320,11 +320,13 @@ class TestPathPlanSerialization:
     @settings(max_examples=100, deadline=None)
     @given(weight_pairs(ends=True))
     def test_each_move_changes_only_its_stated_entries(self, case):
-        # The JSON renderer redraws only these entries of a waypoint row.
+        # The renderers redraw only the entries _effect returns.
         lam, mu, p = case
         plan = plan_path(lam, mu, p)
         for move, w, nxt in zip(plan.moves, plan.waypoints, plan.waypoints[1:]):
-            stated = {i % len(w) for i in planner._changes(move)}
+            cur = list(w)
+            stated = {i % len(w) for i in planner._effect(cur, move.kind, move.s or 1, 1, p)}
+            assert tuple(cur) == nxt
             assert (move, nxt) in certified_moves(w, p)
             assert {i for i, (a, b) in enumerate(zip(w, nxt)) if a != b} <= stated
 
@@ -350,7 +352,7 @@ class TestInvariantGuards:
                 # losing the first carry leaves the 1 at position 1, losing
                 # the last leaves it one short of ``at``
                 at = 1 if lost == "first" else at - 1
-            real(cur, kind, at, k, p)
+            return real(cur, kind, at, k, p)
 
         monkeypatch.setattr(planner, "_effect", corrupted)
         # Steinberg -> (0,0,2,1) carries to position 3 both in plan_path's
