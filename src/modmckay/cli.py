@@ -16,16 +16,18 @@ JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
 by ``_encode`` into one list of pieces.  Scalars go through the stdlib's
 C encoder.  A list of ints, such as a weight, is one join; any other
 list renders item by item, so a list of weights joins row by row.  A
-list of dicts with the same keys, whose values are scalars or int rows,
-such as ``bfs``'s distances, fills one item template from cached cells
-(``_records``).  A plan renders from its blocks (``_plan_json``): each
-distinct move label once, a block as its unit's text repeated, and the
-waypoint rows from cached cells.
+list of dicts with the same keys, such as ``bfs``'s distances or
+``graph``'s edges, fills one item template (``_records``): int rows from
+cached cells, other values once per distinct object.  A plan renders
+from its blocks (``_plan_json``): a block is its unit's text repeated,
+from a table of move labels per unit, and the waypoint rows are built
+per block from shared leads and tails (``PathPlan._rows``).  The text
+and DOT views of a plan take the same rows and labels.
 
 Exit codes: 0 success; 1 verification failure (``verify``,
 ``validate``) or a planner invariant violation, reported as ``error:``
-on stderr; 2 malformed input, or an ``--output`` file that cannot be
-written.
+on stderr; 2 malformed input, a walk too long to render, or an
+``--output`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .planner import (
     _Builder,
     _from_waypoint,
     _to_waypoint,
-    _unit,
     _waypoint,
     _waypoint_key,
     length_bound,
@@ -180,9 +181,12 @@ def _key(key) -> str:
 
 def _records(obj, indent: str, inner: str) -> str | None:
     """The nonempty list ``obj`` of dicts from one item template, when the
-    items have the same str keys in the same order and each key's values
-    are all JSON scalars or all nonempty int rows of one length; else None.
-    The template's constant text alternates with the values' texts."""
+    items have the same str keys in the same order; else None.  The
+    template's constant text alternates with the values' texts.  A key
+    whose values are nonempty int rows of one length fills one slot per
+    entry from cells cached per value; any other values render once per
+    distinct object, so items that share a value, such as ``graph``'s
+    edges their move, share its text."""
     keys = tuple(obj[0])
     alike = all(type(item) is dict and tuple(item) == keys for item in obj)
     if not alike or set(map(type, keys)) != {str}:
@@ -197,13 +201,17 @@ def _records(obj, indent: str, inner: str) -> str | None:
             continue
         # Entry types before a set of entries, which keeps one of True and 1.
         rows = set(map(type, column)) <= {list, tuple} and len(set(map(len, column))) == 1
-        if not rows or set(map(type, chain.from_iterable(column))) != {int}:
-            return None
-        cells = {v: member + "  " + str(v) for v in set(chain.from_iterable(column))}
-        for at, entries in enumerate(zip(*column)):
-            slots += repeat(head + ("," if at else "[")), map(cells.__getitem__, entries)
+        if rows and set(map(type, chain.from_iterable(column))) == {int}:
+            cells = {v: member + "  " + str(v) for v in set(chain.from_iterable(column))}
+            for at, entries in enumerate(zip(*column)):
+                slots += repeat(head + ("," if at else "[")), map(cells.__getitem__, entries)
+                head = ""
+            head = member + "]"
+        else:
+            # Keyed by identity, which is safe while ``obj`` holds them all.
+            texts = {id(v): _text(v, member) for v in {id(v): v for v in column}.values()}
+            slots += repeat(head), [texts[id(v)] for v in column]
             head = ""
-        head = member + "]"
     slots.append(repeat(head + inner + "}"))
     return "[" + inner + ("," + inner).join(map("".join, zip(*slots))) + indent + "]"
 
@@ -263,10 +271,10 @@ def _members(items, inner: str, append) -> None:
 
 def _plan_json(plan: PathPlan, indent: str, append) -> None:
     """Append the pieces of ``json.dumps(plan.to_json_dict(), indent=2)``
-    nested at ``indent``, rendered from the plan's blocks.  Each distinct
-    move's label is rendered once, and a block ``(kind, at, k)`` is the
-    text of its unit (planner._unit) joined k times, and the waypoints
-    are rows of cells, one per entry value met (PathPlan._rows)."""
+    nested at ``indent``, rendered from the plan's blocks: the moves from
+    a table of their texts per unit (PathPlan._labels), and the waypoints
+    from the rows that PathPlan._rows builds per block from shared leads
+    and tails."""
     inner = indent + "  "
     item = inner + "  "
     _members((
@@ -274,23 +282,21 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
         ("target", plan.target), ("length", plan.length),
     ), inner, append)
 
-    labels, blocks = {}, []
-    join = ("," + item).join
-    for kind, at, k in plan.blocks:
-        unit = _unit(kind, at)
-        for move in unit:
-            if move not in labels:
-                pieces: list[str] = []
-                _encode(move.to_json_dict(), item, pieces.append)
-                labels[move] = "".join(pieces)
-        blocks.append(join(repeat(join([labels[move] for move in unit]), k)))
-    moves = "[" + item + join(blocks) + inner + "]" if blocks else "[]"
+    labels = plan._labels(lambda move: _text(move.to_json_dict(), item))
+    moves = "[" + item + ("," + item).join(labels) + inner + "]" if plan.blocks else "[]"
     append("," + inner + '"moves": ' + moves)
 
     rows = plan._rows(item + "  ")
     append("," + inner + '"waypoints": [' + item + "[")
     append((item + "]," + item + "[").join(rows))
     append(item + "]" + inner + "]" + indent + "}")
+
+
+def _text(obj, indent: str) -> str:
+    """The text of ``json.dumps(obj, indent=2)`` nested at ``indent``."""
+    pieces: list[str] = []
+    _encode(obj, indent, pieces.append)
+    return "".join(pieces)
 
 
 def _json(payload) -> str:
@@ -338,6 +344,20 @@ def _cmd_lr_neighbors(args):
     }, 0
 
 
+# The most waypoint entries, moves * (n-1), that a printed walk may hold;
+# a longer one is refused before any waypoint is built.  The longest plan
+# tested, (40,11) from zero to Steinberg, holds 304,200.
+_MAX_WALK_ENTRIES = 10**7
+
+
+def _check_walk(moves: int, n: int) -> None:
+    if moves * (n - 1) > _MAX_WALK_ENTRIES:
+        raise ValueError(
+            f"a walk of {moves} moves at n = {n} has {moves * (n - 1)} entries "
+            f"to render, more than {_MAX_WALK_ENTRIES}"
+        )
+
+
 def _lr_kind(a: Weight, b: Weight) -> str:
     kinds = sorted(k for k, t in lr_neighbors(a) if t == b)
     return kinds[0] if kinds else "?"
@@ -346,6 +366,7 @@ def _lr_kind(a: Weight, b: Weight) -> str:
 @_command("canonical-path", "explicit zero-to-Steinberg path", "p",
           formats=("text", "json", "dot"), needs_n=True)
 def _cmd_canonical_path(args):
+    _check_walk(length_bound(args.n, args.p), args.n)
     path = canonical_path_char0(args.n, args.p)
     payload = {"n": args.n, "p": args.p, "length": len(path) - 1, "waypoints": path}
 
@@ -419,16 +440,19 @@ def _cmd_validate(args):
           formats=("text", "json", "dot"))
 def _cmd_plan(args):
     plan = plan_path(args.src, args.tgt, args.p)
+    _check_walk(plan.length, plan.n)
 
     def text() -> str:
-        waypoints = plan._rows()
-        head = f"source {next(waypoints)}\ntarget {format_weight(plan.target)}\n"
-        steps = "".join(f"{move} -> {w}\n" for move, w in zip(plan._moves(), waypoints))
-        return f"{head}length {plan.length}\n{steps}"
+        rows = plan._rows()
+        steps = zip(plan._labels(lambda move: f"\n{move} -> "), rows[1:])
+        return (
+            f"source {rows[0]}\ntarget {format_weight(plan.target)}\n"
+            f"length {plan.length}" + "".join(chain.from_iterable(steps)) + "\n"
+        )
 
     def dot() -> str:
         name = f"plan_n{plan.n}_p{plan.p}"
-        return graph_mod.walk_to_dot(name, plan._rows(), map(str, plan._moves()))
+        return graph_mod.walk_to_dot(name, plan._rows(), plan._labels(str))
 
     return plan, {"text": text, "dot": dot}, 0
 

@@ -63,12 +63,15 @@ class CertifiedGraph:
         return sum(len(adj) for adj in self.adjacency)
 
     def to_json_dict(self) -> dict:
+        """The graph as JSON data; the edges with one move share one dict
+        of it, which the command line renders once."""
+        moves = {m: m.to_json_dict() for m in {m for adj in self.adjacency for m, _ in adj}}
         return {
             "n": self.n,
             "p": self.p,
             "vertices": [list(w) for w in self.vertices],
             "edges": [
-                {"from": i, "to": j, "move": move.to_json_dict()}
+                {"from": i, "to": j, "move": moves[move]}
                 for i, adj in enumerate(self.adjacency)
                 for move, j in adj
             ],

@@ -57,9 +57,10 @@ comments mark each such point inline.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .moves import (
     _ADD_FIRST_MOVE,
@@ -142,14 +143,6 @@ def _effect(cur: list[int], kind: str, at: int, k: int, p: int) -> tuple[int, ..
     return (at - 1,)
 
 
-def _unit(kind: str, at: int) -> tuple[Move, ...]:
-    """The moves of one repeat of the block ``(kind, at, k)``: the whole
-    travel(at), or the single clearing move."""
-    if kind == _TRAVEL:
-        return _travel(at)
-    return (_clear_forward(at) if kind == CLEAR_FORWARD else _CLEAR_LAST_MOVE,)
-
-
 def _run(cur: list[int], kind: str, at: int, k: int, p: int) -> None:
     """Certify the run ``kind(at) x k``, k >= 1, at ``cur`` in closed form
     and apply it: every block kind needs zeros before ``at``; the clearing
@@ -178,10 +171,7 @@ class PathPlan:
 
     def _moves(self) -> Iterator[Move]:
         """The moves, block by block."""
-        for kind, at, k in self.blocks:
-            unit = _unit(kind, at)
-            for _ in range(k):
-                yield from unit
+        return self._labels(lambda move: move)
 
     def _walk(self) -> Iterator[tuple[Move, list[int], tuple[int, ...]]]:
         """Each move with the weight it reaches and the entries it changes,
@@ -192,22 +182,79 @@ class PathPlan:
         for move in self._moves():
             yield move, cur, _effect(cur, move.kind, move.s or 1, 1, p)
 
-    def _rows(self, prefix: str = "") -> Iterator[str]:
+    def _rows(self, prefix: str = "") -> list[str]:
         """The source and the weight after each move, as cells of their
-        values, each ``prefix`` and the digits, joined by commas; a move
-        replaces only its entries' cells.  A cell is made once per value
-        met, not per value below p, which may be huge."""
-        cells = {v: prefix + str(v) for v in self.source}
-        row = [cells[v] for v in self.source]
-        yield ",".join(row)
-        for _, cur, changed in self._walk():
-            for i in changed:
-                v = cur[i]
-                try:
-                    row[i] = cells[v]
-                except KeyError:
-                    row[i] = cells[v] = prefix + str(v)
-            yield ",".join(row)
+        values, each ``prefix`` and the digits, joined by commas.  A cell
+        is made once per value met, not per value below p, which may be
+        huge.  The rows are built per block, with no step per move, from
+        its precondition, zeros before ``at``: a clearing run keeps the
+        text around its one or two entries, and a repeat of travel(x)
+        shows a 1 sliding over the zeros, then entry x raised by one.  So
+        each value of entry x ends x rows that share the text after it,
+        and whose leads, all zeros and then a 1 at each position below x,
+        are made once per x."""
+        q = self.p - 1
+        cells: dict[int, str] = {}
+        leads: dict[int, list[str]] = {}
+
+        def cells_of(values) -> list[str]:
+            for v in set(values).difference(cells):
+                cells[v] = prefix + str(v)
+            return [cells[v] for v in values]
+
+        cur = list(self.source)
+        row = cells_of(cur)
+        rows = [",".join(row)]
+        for kind, at, k in self.blocks:
+            i = at - 1
+            e = cur[i]
+            head = ",".join([*row[:i], ""])  # zeros, by the precondition
+            if kind == _TRAVEL:
+                group = leads.get(at)
+                if group is None:
+                    # Windows of one band, a 1 amid zeros: cells of 0 and 1
+                    # are equally wide.
+                    zero, one = (c + "," for c in cells_of((0, 1)))
+                    band, w = zero * (i - 1) + one + zero * (i - 1), len(zero)
+                    group = leads[at] = [head] + [
+                        band[r * w : (r + i) * w] for r in range(i - 1, -1, -1)
+                    ]
+                # Entry x runs through e, rep(e+1), ..., rep(e+k).  The
+                # first value's all-zero row is the weight before the block
+                # and its last value's slides belong to the next repeat.
+                tail = ",".join(["", *row[at:]])
+                ends = [c + tail for c in cells_of([e] + [v % q + 1 for v in range(e, e + k)])]
+                rows += [lead + end for end in ends for lead in group][1 : k * at + 1]
+            elif kind == CLEAR_FORWARD:
+                tail = ",".join(["", *row[at + 1 :]])
+                highs = cells_of([v % q + 1 for v in range(cur[at], cur[at] + k)])
+                lows = cells_of(range(e - 1, e - k - 1, -1))
+                rows += [f"{head}{low},{high}{tail}" for low, high in zip(lows, highs)]
+            else:
+                rows += [head + c for c in cells_of(range(e - 1, e - k - 1, -1))]
+            for j in _effect(cur, kind, at, k, self.p):
+                row[j] = cells[cur[j]]
+        return rows
+
+    def _labels(self, label: Callable[[Move], object]) -> Iterator:
+        """``label`` of each move, in order: a block ``(kind, at, k)``
+        repeats its unit's labels k times, from a table keyed by (kind,
+        at).  Every unit but clear_last is a run of add_first,
+        clear_forward(1), clear_forward(2), ...: travel(x) the first x of
+        them, clear_forward(s) the one at s.  So the table slices one line
+        of labels, and each move is labelled once."""
+        line: list = []  # the labels of add_first, clear_forward(1), ...
+        units: dict[tuple[str, int], tuple] = {}
+        for kind, at, _ in self.blocks:
+            if (kind, at) in units:
+                continue
+            if kind == CLEAR_LAST:
+                units[kind, at] = (label(_CLEAR_LAST_MOVE),)
+                continue
+            start, stop = (0, at) if kind == _TRAVEL else (at, at + 1)
+            line += map(label, _travel(stop)[len(line) :])
+            units[kind, at] = tuple(line[start:stop])
+        return chain.from_iterable(units[kind, at] * k for kind, at, k in self.blocks)
 
     @property
     def moves(self) -> tuple[Move, ...]:

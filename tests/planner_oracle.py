@@ -2,6 +2,8 @@
 # apart from the absolute imports and the move step it takes each move
 # with, which modmckay.moves no longer has: the step-by-step oracle that
 # tests/test_planner.py compares modmckay.planner's expanded plans against.
+# At the end, ``rows``: the per-move renderer of a block plan's waypoint
+# rows, the oracle of the block-wise PathPlan._rows.
 """Constructive paths between arbitrary p-restricted weights.
 
 For any source and target the planner emits an explicit list of certified
@@ -361,3 +363,21 @@ def _finish(b: _Builder, n: int, p: int, lam: Weight, mu: Weight) -> PathPlan:
         moves=tuple(b.moves),
         waypoints=tuple(b.waypoints),
     )
+
+
+def rows(plan, prefix: str = ""):
+    """The waypoint rows of a modmckay.planner.PathPlan, one move at a time:
+    the source and the weight after each move, as cells of their values,
+    each ``prefix`` and the digits, joined by commas; a move replaces only
+    its entries' cells.  A cell is made once per value met."""
+    cells = {v: prefix + str(v) for v in plan.source}
+    row = [cells[v] for v in plan.source]
+    yield ",".join(row)
+    for _, cur, changed in plan._walk():
+        for i in changed:
+            v = cur[i]
+            try:
+                row[i] = cells[v]
+            except KeyError:
+                row[i] = cells[v] = prefix + str(v)
+        yield ",".join(row)

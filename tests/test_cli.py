@@ -93,16 +93,19 @@ class TestPlanCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
     def test_rows_cost_no_memory_per_value_of_p(self, capsys, fmt):
-        # One move at a large prime: the rows hold cells of the values met,
-        # not of every value below p (about 60 MB here).
-        tracemalloc.start()
-        try:
-            code, out, _ = run(capsys, "plan", "--p", "1000003", "--from", "1", "--to", "2",
-                               "--format", fmt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0 and peak < 1 << 20
+        # At a large prime the rows hold cells of the values met, and the
+        # travel leads cells of 0 and 1, not of every value below p (about
+        # 60 MB here): one move, then seven blocks of all three kinds, two
+        # of them travel(2), in nine moves.
+        for src, tgt in (("1", "2"), ("1000002,1000002,1000002", "1,2,0")):
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, "plan", "--p", "1000003", "--from", src,
+                                   "--to", tgt, "--format", fmt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and peak < 1 << 20
 
 
 class TestValidateCommand:
@@ -444,7 +447,8 @@ _PAYLOADS = st.recursive(
 def _like_dicts(draw):
     """A list of dicts with the same str keys in the same order, each
     key's values all scalars or all int rows of one length, sometimes with
-    one value or one item's key order changed to a shape that falls back."""
+    one value changed to another shape, which renders on its own, or one
+    item's key order changed, which falls back to the per-piece path."""
     keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
     count = draw(st.integers(1, 6))
     columns = []
@@ -492,6 +496,8 @@ class TestJsonEncoder:
     def test_records_match_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)
 
+    # Shapes that fall back to the per-piece path, or whose values the item
+    # template renders one distinct object at a time.
     @pytest.mark.parametrize("payload", [
         [{"a": 1, "b": 2}, {"b": 1, "a": 2}], [{"a": 1}, {"b": 1}], [{"a": {"b": 1}}],
         [{"a": []}, {"a": []}], [{"a": [1, 2]}, {"a": [3]}], [{"a": [1]}, {"a": [True]}],
@@ -500,6 +506,18 @@ class TestJsonEncoder:
     ])
     def test_record_fallbacks_match_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)
+
+    def test_graph_edges_render_each_move_once(self, monkeypatch):
+        # An edge's move is a dict whose keys vary with its kind; the edges
+        # of one move share it, and the item template renders it once.
+        g = graph_mod.build_certified_graph(4, 3)
+        rendered = []
+        real = cli._text
+        monkeypatch.setattr(cli, "_text", lambda obj, indent: rendered.append(obj) or real(obj, indent))
+        assert cli._json(g) == _dumps(g)
+        moves = {move for adj in g.adjacency for move, _ in adj}
+        assert len(moves) == 4 and g.edge_count > 4
+        assert sorted(map(str, rendered)) == sorted(str(m.to_json_dict()) for m in moves)
 
     @pytest.mark.parametrize("payload", [
         [], {}, (), [[]], [{}], {"": []}, [1, [2]], [1, "a, b"], [1, Move("add_first")],

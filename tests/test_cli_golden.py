@@ -62,6 +62,11 @@ GOLDEN = [
     ('plan --p 5 --from 3,1 --to 3,1 --format dot', 0, 'bdde5c326c236e7f503277be2c1b31939069ba978f740c17830ae797ff6780a8', ''),
     ('plan --p 5 --from 3,1 --to 3,1 --format json', 0, '9682774794731943a5175b8bed42f0d8f189c3882053f1e13fdb0a422fc41e37', ''),
     (f"plan --n 40 --p 11 --from {ZERO_40} --to {STEINBERG_40_11} --format json", 0, '4d482adc0c952bc06d134742482709d919a3c588b54fd890048a7c5e9b5cc8fb', ''),
+    # A 19-digit prime: a one-move plan renders, and a walk of about p moves is
+    # refused before it is built.
+    ('plan --p 1000000000000000003 --from 1 --to 2', 0, '35f6940877a69cf8f2c7d36a4cfe32bfcfd52432840d3808751fb4eb0e2797a8', ''),
+    ('plan --p 1000000000000000003 --from 2 --to 1 --format json', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: a walk of 1000000000000000001 moves at n = 2 has 1000000000000000001 entries to render, more than 10000000\n'),
+    ('canonical-path --n 2 --p 1000000000000000003', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: a walk of 1000000000000000002 moves at n = 2 has 1000000000000000002 entries to render, more than 10000000\n'),
     ('graph --n 3 --p 3', 0, '79f32d29bf3165a0768bb8571195b8ececb1a21297a0afb9d81d6ff06c9ceb2b', ''),
     ('graph --n 3 --p 3 --format json', 0, 'edec149265b5fa511f02961f69580d16a9a0a65b124fbf4a9cf93e61ebb350a6', ''),
     ('graph --n 3 --p 3 --format dot', 0, 'd70766ecf604f8f3c8ecd07c9ff9500634fb46f9de3b9251b7d5da567e793840', ''),

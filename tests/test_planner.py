@@ -19,7 +19,7 @@ from modmckay.moves import (
     validate_move,
 )
 from modmckay.planner import InvariantViolationError, length_bound, plan_path
-from modmckay.weights import f_value, steinberg_weight
+from modmckay.weights import f_value, format_weight, steinberg_weight
 
 
 def all_restricted(n, p):
@@ -329,6 +329,92 @@ class TestPathPlanSerialization:
             assert tuple(cur) == nxt
             assert (move, nxt) in certified_moves(w, p)
             assert {i for i, (a, b) in enumerate(zip(w, nxt)) if a != b} <= stated
+
+
+def certified_plan(source, p, runs):
+    """A PathPlan from ``source`` made of the blocks ``runs``, each
+    certified by the planner's closed-form check as it is applied; it
+    ends wherever they lead."""
+    cur = list(source)
+    for kind, at, k in runs:
+        planner._run(cur, kind, at, k, p)
+    length = sum(k * at if kind == planner._TRAVEL else k for kind, at, k in runs)
+    return planner.PathPlan(
+        n=len(source) + 1, p=p, source=tuple(source), target=tuple(cur),
+        blocks=tuple(runs), length=length,
+    )
+
+
+@st.composite
+def block_walks(draw, max_n=7):
+    """A PathPlan of up to six random certified blocks from a random
+    weight, each a run the precondition allows at the weight it starts
+    from: travel(x) up to the first nonzero position, with k up to 2p so
+    that entries wrap, or the clearing run at that position, with k up to
+    the entry."""
+    n = draw(st.integers(2, max_n))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    source = draw(st.tuples(*[st.integers(0, p - 1)] * (n - 1)))
+    cur, runs = list(source), []
+    for _ in range(draw(st.integers(0, 6))):
+        s = first_nonzero_position(cur)
+        kinds = [planner._TRAVEL] if s is None else [
+            planner._TRAVEL, CLEAR_LAST if s == n - 1 else CLEAR_FORWARD
+        ]
+        kind = draw(st.sampled_from(kinds))
+        if kind == planner._TRAVEL:
+            at, k = draw(st.integers(1, s or n - 1)), draw(st.integers(1, 2 * p))
+        else:
+            at, k = s, draw(st.integers(1, cur[s - 1]))
+        planner._run(cur, kind, at, k, p)
+        runs.append((kind, at, k))
+    return certified_plan(source, p, runs)
+
+
+# The JSON cell prefix of a plan's waypoint entries: a newline and the
+# indent of their depth.
+JSON_PREFIX = "\n" + " " * 8
+
+
+class TestRowsMatchTheOracle:
+    """PathPlan._rows builds the waypoint rows per block; the oracle
+    (planner_oracle.rows) steps them move by move, and both must equal the
+    waypoints formatted one by one."""
+
+    @staticmethod
+    def assert_rows(plan):
+        for prefix in ("", JSON_PREFIX):
+            rows = plan._rows(prefix)
+            assert rows == list(planner_oracle.rows(plan, prefix))
+            assert rows == [",".join(prefix + str(v) for v in w) for w in plan.waypoints]
+        assert plan._rows() == list(map(format_weight, plan.waypoints))
+
+    @pytest.mark.parametrize("source, p, runs", [
+        # p = 2: rep is 1, so add_first at a 1 is a self-loop.
+        ((1, 0), 2, [(planner._TRAVEL, 1, 3), (CLEAR_FORWARD, 1, 1), (planner._TRAVEL, 1, 2)]),
+        ((0, 0, 1), 2, [(planner._TRAVEL, 3, 2), (CLEAR_LAST, 3, 1), (planner._TRAVEL, 2, 3)]),
+        # n = 2: travel(1) and clear_last runs of k > 1, wrapping past p-1.
+        ((1,), 5, [(planner._TRAVEL, 1, 6), (CLEAR_LAST, 1, 3), (planner._TRAVEL, 1, 2)]),
+        # The empty plan.
+        ((2, 1), 3, []),
+        # clear_forward(n-2): nothing after the entry it raises.
+        ((0, 3, 1), 5, [(CLEAR_FORWARD, 2, 3), (CLEAR_LAST, 3, 4)]),
+    ])
+    def test_edge_cases(self, source, p, runs):
+        self.assert_rows(certified_plan(source, p, runs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_walks())
+    def test_random_block_walks(self, plan):
+        self.assert_rows(plan)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weight_pairs(ends=True))
+    def test_random_plans(self, case):
+        self.assert_rows(plan_path(*case))
+
+    def test_longest_plan(self):
+        self.assert_rows(plan_path((0,) * 39, steinberg_weight(40, 11), 11))
 
 
 class TestInvariantGuards:
