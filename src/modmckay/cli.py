@@ -53,6 +53,7 @@ from .graph import (
     subgraph_diameter,
 )
 from .moves import (
+    Move,
     NoSuchEdgeError,
     _certify,
     _successors,
@@ -179,6 +180,25 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _row_slots(rows, inner: str, head: str) -> list | None:
+    """The slots of ``rows`` rendered as items at the indent ``inner``,
+    each after ``head``, when they are nonempty rows of exact ints (not
+    bools) of one length; else None.  Slot k holds every row's entry k,
+    after "[" or ",", from cells cached per value; the caller closes each
+    row with inner + "]"."""
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    # Entry types before a set of entries, which keeps one of True and 1.
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    cells = {v: inner + "  " + str(v) for v in set(chain.from_iterable(rows))}
+    slots: list = []
+    for at, entries in enumerate(zip(*rows)):
+        slots += repeat(head + ("," if at else "[")), map(cells.__getitem__, entries)
+        head = ""
+    return slots
+
+
 def _records(obj, indent: str, inner: str) -> str | None:
     """The nonempty list ``obj`` of dicts from one item template, when the
     items have the same str keys in the same order; else None.  The
@@ -199,13 +219,9 @@ def _records(obj, indent: str, inner: str) -> str | None:
             slots += repeat(head), [_FAST.get(type(v), _compact)(v) for v in column]
             head = ""
             continue
-        # Entry types before a set of entries, which keeps one of True and 1.
-        rows = set(map(type, column)) <= {list, tuple} and len(set(map(len, column))) == 1
-        if rows and set(map(type, chain.from_iterable(column))) == {int}:
-            cells = {v: member + "  " + str(v) for v in set(chain.from_iterable(column))}
-            for at, entries in enumerate(zip(*column)):
-                slots += repeat(head + ("," if at else "[")), map(cells.__getitem__, entries)
-                head = ""
+        rows = _row_slots(column, member, head)
+        if rows is not None:
+            slots += rows
             head = member + "]"
         else:
             # Keyed by identity, which is safe while ``obj`` holds them all.
@@ -219,9 +235,10 @@ def _records(obj, indent: str, inner: str) -> str | None:
 def _encode(obj, indent: str, append) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
     ``indent`` (a newline and the spaces of the enclosing level).  A list
-    of ints (not bools) is one join, a list of like dicts one template
-    (``_records``), any other list one item at a time, and a plan renders
-    from its blocks (``_plan_json``)."""
+    of ints (not bools) is one join, a list of int rows of one length one
+    pass over cached cells (``_row_slots``), a list of like dicts one
+    template (``_records``), any other list one item at a time, and a plan
+    renders from its blocks (``_plan_json``)."""
     if isinstance(obj, _SCALARS):
         append(_compact(obj))
     elif isinstance(obj, (list, tuple)):
@@ -232,6 +249,12 @@ def _encode(obj, indent: str, append) -> None:
         if all(type(v) is int for v in obj):
             append("[" + inner + ("," + inner).join(map(str, obj)) + indent + "]")
             return
+        if isinstance(obj[0], (list, tuple)):
+            rows = _row_slots(obj, inner, "")
+            if rows is not None:
+                rows.append(repeat(inner + "]"))
+                append("[" + inner + ("," + inner).join(map("".join, zip(*rows))) + indent + "]")
+                return
         text = _records(obj, indent, inner) if isinstance(obj[0], dict) else None
         if text is not None:
             append(text)
@@ -272,9 +295,9 @@ def _members(items, inner: str, append) -> None:
 def _plan_json(plan: PathPlan, indent: str, append) -> None:
     """Append the pieces of ``json.dumps(plan.to_json_dict(), indent=2)``
     nested at ``indent``, rendered from the plan's blocks: the moves from
-    a table of their texts per unit (PathPlan._labels), and the waypoints
-    from the rows that PathPlan._rows builds per block from shared leads
-    and tails."""
+    a table of their texts per unit (PathPlan._labels, each text from
+    ``_move_json``), and the waypoints from the rows that PathPlan._rows
+    builds per block from shared leads and tails."""
     inner = indent + "  "
     item = inner + "  "
     _members((
@@ -282,7 +305,7 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
         ("target", plan.target), ("length", plan.length),
     ), inner, append)
 
-    labels = plan._labels(lambda move: _text(move.to_json_dict(), item))
+    labels = plan._labels(lambda move: _move_json(move, item))
     moves = "[" + item + ("," + item).join(labels) + inner + "]" if plan.blocks else "[]"
     append("," + inner + '"moves": ' + moves)
 
@@ -290,6 +313,17 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
     append("," + inner + '"waypoints": [' + item + "[")
     append((item + "]," + item + "[").join(rows))
     append(item + "]" + inner + "]" + indent + "}")
+
+
+def _move_json(move: Move, indent: str) -> str:
+    """The text of ``json.dumps(move.to_json_dict(), indent=2)`` nested at
+    ``indent``: "kind", then "s" when present.  Move kinds are plain ASCII
+    names, which JSON writes as they are."""
+    member = indent + "  "
+    text = "{" + member + '"kind": "' + move.kind + '"'
+    if move.s is not None:
+        text += "," + member + '"s": ' + str(move.s)
+    return text + indent + "}"
 
 
 def _text(obj, indent: str) -> str:

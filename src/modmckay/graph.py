@@ -1,9 +1,16 @@
 """The certified subgraph over all p-restricted weights: enumeration,
 BFS distances, diameter, and DOT/JSON/CSV export.
 
-Vertices are listed in lexicographic order, so indices are deterministic.
-Out-degrees are 1 (zero weight) or 2, and every edge obeys the potential
-law f(head) <= f(tail) + 1.  The graph is immutable after construction.
+Vertices are listed in lexicographic order, so indices are deterministic:
+weight w has index sum of w_i * p^(n-1-i), its entries read as base-p
+digits.  Out-degrees are 1 (zero weight) or 2, and every edge obeys the
+potential law f(head) <= f(tail) + 1.  The graph is immutable after
+construction.
+
+Each certified move changes one or two entries, so over a contiguous
+range of indices it is a shift by a constant.  The build computes each
+successor column from such ranges (build_certified_graph states them)
+and never steps a vertex through moves._successors.
 
 The diameter and the all-pairs distance matrix come from one bit-parallel
 traversal from all V sources at once (multi-source traversal over bitsets,
@@ -22,10 +29,10 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import xor
 
-from .moves import Move, _successors
+from .moves import _ADD_FIRST_MOVE, _CLEAR_LAST_MOVE, Move, _clear_forward
 from .weights import Weight, format_weight
 
 DEFAULT_VERTEX_BUDGET = 10**6
@@ -82,7 +89,25 @@ def build_certified_graph(
     n: int, p: int, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> CertifiedGraph:
     """Construct the certified subgraph for (n, p), its p^(n-1) vertices
-    in lexicographic order."""
+    in lexicographic order.
+
+    Vertex w has index v = sum of w_i * P_i, with P_i = p^(n-1-i) for
+    positions i = 1..n-1 and V = P_0 the vertex count.  Each move changes
+    one or two entries, so it shifts a contiguous range of indices by a
+    constant, and the successor columns are built from ranges:
+
+    * add_first: v + P_1 while w_1 < p-1, and the block w_1 = p-1 wraps
+      to w_1 = 1, so the targets are range(P_1, V), range(P_1, 2 P_1);
+    * v >= 1 has its first nonzero entry at s exactly when
+      P_s <= v < P_(s-1).  For s = n-1, clear_last sends v to v - 1.
+      For s < n-1, each value of w_s spans P_s indices, whose rows with
+      w_(s+1) < p-1 shift by -P_s + P_(s+1), and whose last block of
+      P_(s+1) rows, w_(s+1) = p-1, wraps by -P_s - (p-2) P_(s+1).
+
+    For p = 2 the wrapping blocks are the self-loops of add_first and
+    the shifts by -P_s of clear_forward.  This restates moves._successors
+    over index ranges; the tests pin the two to each other.
+    """
     if n < 2 or p < 2:
         raise ValueError("need n >= 2 and p >= 2")
     count = p ** (n - 1)
@@ -91,15 +116,34 @@ def build_certified_graph(
             f"{count} = {p}^{n - 1} vertices exceed the budget of {budget}"
         )
     vertices = tuple(product(range(p), repeat=n - 1))
-    index = {w: i for i, w in enumerate(vertices)}
-    # The enumerated vertices are p-restricted: step them unchecked.
-    adjacency = tuple(
-        tuple((move, index[target]) for move, target in _successors(w, p))
-        for w in vertices
-    )
+    # Targets are slices of one list, so edges and index share one int per vertex.
+    ids = list(range(count))
+    index = dict(zip(vertices, ids))
+    powers = [p ** (n - 1 - i) for i in range(n)]  # P_0 = V, ..., P_(n-1) = 1
+    first = zip(repeat(_ADD_FIRST_MOVE), _wrapped(ids, 0, count, powers[1]))
+    # The clearing edges of v = 1, 2, ...: clear_last, then clear_forward(s)
+    # for s = n-2 down to 1, one block of targets per value of w_s.
+    clearing = [zip(repeat(_CLEAR_LAST_MOVE), ids[: p - 1])]
+    for s in range(n - 2, 0, -1):
+        block, step, move = powers[s], powers[s + 1], _clear_forward(s)
+        clearing += (
+            zip(repeat(move), _wrapped(ids, base, block, step))
+            for base in range(0, powers[s - 1] - block, block)
+        )
+    adjacency = ((next(first),), *zip(first, chain.from_iterable(clearing)))
     return CertifiedGraph(
         n=n, p=p, vertices=vertices, adjacency=adjacency, _index=index
     )
+
+
+def _wrapped(ids: list[int], base: int, block: int, step: int) -> Iterator[int]:
+    """The targets, in order, of ``block`` = p * ``step`` consecutive
+    indices, over which an entry e of weight ``step`` runs through
+    0, ..., p-1, when e becomes the representative of e + 1 in
+    {1, ..., p-1} and the block's start becomes ``base``: e < p-1 moves
+    to base + (e + 1) * step, and e = p-1 wraps to base + step.  The
+    targets are sliced from ``ids``, the list of all indices."""
+    return chain(ids[base + step : base + block], ids[base + step : base + 2 * step])
 
 
 def bfs_distances(g: CertifiedGraph, source: Weight) -> list[int | None]:

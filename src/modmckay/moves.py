@@ -17,6 +17,11 @@ with first entry 1 is a genuine self-loop.
 These edges form a certified subgraph of the full McKay graph (more edges
 may exist); ``verify`` re-derives each one from the conormal-index
 criterion (:func:`_certify`) as an independent check.
+
+:func:`_successors` states these rules once per weight.
+``graph.build_certified_graph`` restates them over ranges of vertex
+indices, and ``TestIndexRangeBuild`` in tests/test_graph.py pins the two
+to each other.
 """
 
 from __future__ import annotations

@@ -1,16 +1,33 @@
-# The all-pairs distances and the CSV matrix as modmckay.graph computed
-# them before its successor-mask traversal: one BFS per source, rendered
-# by csv.writer.  The slow, independent oracle for the diameter, the
-# distance matrix and the planner's admissibility tests.
-"""Per-source BFS over every vertex, and the CSV matrix built from it."""
+# The certified graph, the all-pairs distances and the CSV matrix as
+# modmckay.graph computed them before its index-range build and its
+# successor-mask traversal: one _successors call per vertex, one BFS per
+# source, rendered by csv.writer.  The slow, independent oracle for the
+# graph build, the diameter, the distance matrix and the planner's
+# admissibility tests.
+"""The per-vertex graph build, per-source BFS over every vertex, and the
+CSV matrix built from it."""
 
 from __future__ import annotations
 
 import csv
 import io
+from itertools import product
 
 from modmckay.graph import CertifiedGraph, bfs_distances
+from modmckay.moves import _successors
 from modmckay.weights import format_weight
+
+
+def build_certified_graph(n: int, p: int) -> CertifiedGraph:
+    """The certified subgraph for (n, p), each vertex stepped through
+    _successors and its targets looked up by weight."""
+    vertices = tuple(product(range(p), repeat=n - 1))
+    index = {w: i for i, w in enumerate(vertices)}
+    adjacency = tuple(
+        tuple((move, index[target]) for move, target in _successors(w, p))
+        for w in vertices
+    )
+    return CertifiedGraph(n=n, p=p, vertices=vertices, adjacency=adjacency)
 
 
 def all_pairs_distances(g: CertifiedGraph) -> list[list[int | None]]:

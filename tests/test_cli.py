@@ -1,6 +1,7 @@
 import enum
 import gc
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -375,6 +376,18 @@ class TestOutputHandling:
         assert code == 0
         assert target.read_text() == "3\n"
 
+    def test_write_failing_partway_exits_2(self, capsys, monkeypatch):
+        # The file opens, and then the disk is full.
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        code, out, err = run(capsys, "graph", "--n", "4", "--p", "3", "--format", "json",
+                             "--output", "graph.json")
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 28] No space left on device\n"
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "graph", "--n", "3", "--p", "3", "--format", "json")
         _, second, _ = run(capsys, "graph", "--n", "3", "--p", "3", "--format", "json")
@@ -477,6 +490,25 @@ class _Digit(enum.IntEnum):
     ONE = 1
 
 
+@st.composite
+def _int_rows(draw):
+    """A nonempty list (or tuple) of int rows, lists or tuples, of one
+    length, sometimes with one entry changed to a bool, a float, None or
+    an int subclass, or one row to another length, which fall back to the
+    per-piece path."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.integers(), min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=6))
+    at = draw(st.integers(0, len(rows) - 1))
+    change = draw(st.sampled_from(["none", "entry", "length"]))
+    if change == "entry":
+        entry = draw(st.sampled_from([True, False, 1.0, None, _Digit.ONE]))
+        rows[at] = [*rows[at][:-1], entry]
+    elif change == "length":
+        rows[at] = [*rows[at], 0]
+    return draw(st.sampled_from([rows, tuple(rows)]))
+
+
 # Dict objects that the payloads below hold several times, at two depths.
 _LABEL = {"kind": "clear_forward", "s": 2}
 _ADD_FIRST = {"kind": "add_first"}
@@ -495,6 +527,25 @@ class TestJsonEncoder:
     @given(st.one_of(_like_dicts(), st.lists(_like_dicts(), max_size=3)))
     def test_records_match_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)
+
+    # Lists of int rows of one length render in one pass over cached cells,
+    # alone and nested, which deepens their indent.
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        _int_rows(),
+        st.lists(_int_rows(), max_size=3),
+        st.dictionaries(_TEXT, _int_rows(), max_size=3),
+    ))
+    def test_int_rows_match_json_dumps(self, payload):
+        assert cli._json(payload) == _dumps(payload)
+
+    # A plan's move labels come from one template per kind.
+    @pytest.mark.parametrize("move", [
+        Move("add_first"), Move("clear_last"), Move("clear_forward", 1), Move("clear_forward", 38),
+    ], ids=str)
+    @pytest.mark.parametrize("indent", ["\n", "\n      "], ids=["top", "nested"])
+    def test_move_labels_match_generic_encoder(self, move, indent):
+        assert cli._move_json(move, indent) == cli._text(move.to_json_dict(), indent)
 
     # Shapes that fall back to the per-piece path, or whose values the item
     # template renders one distinct object at a time.

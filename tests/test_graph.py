@@ -1,9 +1,12 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graph_oracle
 from modmckay import graph as graph_mod
+from modmckay import moves as moves_mod
 from modmckay.cli import main
 from modmckay.graph import (
     BudgetExceededError,
@@ -81,6 +84,51 @@ class TestBuild:
         assert g.vertices[g.index_of((1, 1))] == (1, 1)
         with pytest.raises(ValueError):
             g.index_of((9, 9))
+
+
+# Every (n, p) with n = 2..8, p in {2, 3, 4, 5, 6, 7, 11} and at most
+# 40,000 vertices, and a long n = 2 path.
+BUILD_SIZES = [
+    (n, p)
+    for n in range(2, 9)
+    for p in (2, 3, 4, 5, 6, 7, 11)
+    if p ** (n - 1) <= 40_000
+] + [(2, 1021)]
+
+
+def assert_same_graph(g, want):
+    """Equal fields, adjacency with the same repr, and each edge labelled
+    by the very Move object _successors uses."""
+    assert g == want and repr(g.adjacency) == repr(want.adjacency)
+    assert all(
+        m is o
+        for adj, other in zip(g.adjacency, want.adjacency)
+        for (m, _), (o, _) in zip(adj, other)
+    )
+
+
+class TestIndexRangeBuild:
+    # The build restates moves._successors over index ranges; the
+    # per-vertex build in graph_oracle steps _successors itself.
+    @pytest.mark.parametrize("n,p", BUILD_SIZES)
+    def test_matches_per_vertex_build(self, n, p):
+        assert_same_graph(build_certified_graph(n, p), graph_oracle.build_certified_graph(n, p))
+
+    # Small instances, the non-prime p that --allow-nonprime admits included.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.integers(2, 16))
+    def test_matches_per_vertex_build_small(self, n, p):
+        if p ** (n - 1) > 5000:
+            n = 2
+        assert_same_graph(build_certified_graph(n, p), graph_oracle.build_certified_graph(n, p))
+
+    def test_never_steps_successors(self, monkeypatch):
+        def refuse(w, p):
+            raise AssertionError("build_certified_graph called _successors")
+
+        monkeypatch.setattr(moves_mod, "_successors", refuse)
+        monkeypatch.setattr(graph_mod, "_successors", refuse, raising=False)
+        assert build_certified_graph(5, 3).edge_count == 161
 
 
 class TestBfs:
