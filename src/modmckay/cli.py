@@ -47,6 +47,8 @@ from .char0 import canonical_path_char0, char0_distance, lr_neighbors
 from .conormal import _rows, addable_indices, conormal_indices, removable_indices
 from .graph import (
     BudgetExceededError,
+    _distance_rows,
+    _mask_bytes,
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
@@ -64,9 +66,12 @@ from .moves import (
 from .planner import (
     InvariantViolationError,
     PathPlan,
+    _after_sweep,
     _Builder,
+    _ell,
     _from_waypoint,
-    _to_waypoint,
+    _route,
+    _sweep,
     _waypoint,
     _waypoint_key,
     length_bound,
@@ -232,7 +237,7 @@ def _records(obj, indent: str, inner: str) -> str | None:
     return "[" + inner + ("," + inner).join(map("".join, zip(*slots))) + indent + "]"
 
 
-def _encode(obj, indent: str, append) -> None:
+def _encode(obj, indent: str, out: list[str]) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
     ``indent`` (a newline and the spaces of the enclosing level).  A list
     of ints (not bools) is one join, a list of int rows of one length one
@@ -240,44 +245,45 @@ def _encode(obj, indent: str, append) -> None:
     template (``_records``), any other list one item at a time, and a plan
     renders from its blocks (``_plan_json``)."""
     if isinstance(obj, _SCALARS):
-        append(_compact(obj))
+        out.append(_compact(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            append("[]")
+            out.append("[]")
             return
         inner = indent + "  "
         if all(type(v) is int for v in obj):
-            append("[" + inner + ("," + inner).join(map(str, obj)) + indent + "]")
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + indent + "]")
             return
         if isinstance(obj[0], (list, tuple)):
             rows = _row_slots(obj, inner, "")
             if rows is not None:
                 rows.append(repeat(inner + "]"))
-                append("[" + inner + ("," + inner).join(map("".join, zip(*rows))) + indent + "]")
+                text = ("," + inner).join(map("".join, zip(*rows)))
+                out.append("[" + inner + text + indent + "]")
                 return
         text = _records(obj, indent, inner) if isinstance(obj[0], dict) else None
         if text is not None:
-            append(text)
+            out.append(text)
             return
         sep = "[" + inner
         for item in obj:
-            append(sep)
+            out.append(sep)
             sep = "," + inner
-            _encode(item, inner, append)
-        append(indent + "]")
+            _encode(item, inner, out)
+        out.append(indent + "]")
     elif isinstance(obj, dict):
         if not obj:
-            append("{}")
+            out.append("{}")
             return
-        _members(obj.items(), indent + "  ", append)
-        append(indent + "}")
+        _members(obj.items(), indent + "  ", out)
+        out.append(indent + "}")
     elif type(obj) is PathPlan:
-        _plan_json(obj, indent, append)
+        _plan_json(obj, indent, out)
     else:
-        _encode(obj.to_json_dict(), indent, append)
+        _encode(obj.to_json_dict(), indent, out)
 
 
-def _members(items, inner: str, append) -> None:
+def _members(items, inner: str, out: list[str]) -> None:
     """Append a nonempty dict's (key, value) ``items`` at the member
     indent ``inner``, the first after "{", the others after ","."""
     sep = "{" + inner
@@ -285,14 +291,14 @@ def _members(items, inner: str, append) -> None:
         head = sep + _key(key) + ": "
         fast = _FAST.get(type(value))
         if fast is not None:
-            append(head + fast(value))
+            out.append(head + fast(value))
         else:
-            append(head)
-            _encode(value, inner, append)
+            out.append(head)
+            _encode(value, inner, out)
         sep = "," + inner
 
 
-def _plan_json(plan: PathPlan, indent: str, append) -> None:
+def _plan_json(plan: PathPlan, indent: str, out: list[str]) -> None:
     """Append the pieces of ``json.dumps(plan.to_json_dict(), indent=2)``
     nested at ``indent``, rendered from the plan's blocks: the moves from
     a table of their texts per unit (PathPlan._labels, each text from
@@ -303,16 +309,19 @@ def _plan_json(plan: PathPlan, indent: str, append) -> None:
     _members((
         ("n", plan.n), ("p", plan.p), ("source", plan.source),
         ("target", plan.target), ("length", plan.length),
-    ), inner, append)
+    ), inner, out)
 
     labels = plan._labels(lambda move: _move_json(move, item))
     moves = "[" + item + ("," + item).join(labels) + inner + "]" if plan.blocks else "[]"
-    append("," + inner + '"moves": ' + moves)
+    out.append("," + inner + '"moves": ' + moves)
 
+    # The rows go in as pieces, each followed by its separator or, the
+    # last, by the close, so their text is copied once, by the final join.
     rows = plan._rows(item + "  ")
-    append("," + inner + '"waypoints": [' + item + "[")
-    append((item + "]," + item + "[").join(rows))
-    append(item + "]" + inner + "]" + indent + "}")
+    ends = [item + "]," + item + "["] * len(rows)
+    ends[-1] = item + "]" + inner + "]" + indent + "}"
+    out.append("," + inner + '"waypoints": [' + item + "[")
+    out += chain.from_iterable(zip(rows, ends))
 
 
 def _move_json(move: Move, indent: str) -> str:
@@ -329,7 +338,7 @@ def _move_json(move: Move, indent: str) -> str:
 def _text(obj, indent: str) -> str:
     """The text of ``json.dumps(obj, indent=2)`` nested at ``indent``."""
     pieces: list[str] = []
-    _encode(obj, indent, pieces.append)
+    _encode(obj, indent, pieces)
     return "".join(pieces)
 
 
@@ -338,7 +347,7 @@ def _json(payload) -> str:
     and graphs in the payload render through their to_json_dict and plans
     from their blocks, only when JSON is asked for."""
     pieces: list[str] = []
-    _encode(payload, "\n", pieces.append)
+    _encode(payload, "\n", pieces)
     pieces.append("\n")
     return "".join(pieces)
 
@@ -572,9 +581,10 @@ def _cmd_verify(args):
 
 
 # verify plans every ordered pair of an instance with at most this many
-# vertices whose check walks at most this many prefixes, one per source
-# and waypoint key (_check_plans; at n = 2 every vertex has its own key),
-# and a seeded sample of pairs otherwise.
+# vertices, at most this many pairs of a source and a waypoint key
+# (_check_plans; at n = 2 every vertex has its own key) and a distance
+# matrix within graph.DIAMETER_MEMORY_LIMIT, and a seeded sample of pairs
+# otherwise.
 _EXHAUSTIVE_VERTICES = 1024
 _EXHAUSTIVE_PREFIXES = 65536
 
@@ -586,8 +596,8 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     "sampled"), the number of pairs planned and the sample's seed (None
     when exhaustive).  It also says how far the plans are from shortest,
     over the planned pairs: how many plans are shortest paths, and the
-    worst and mean of plan length minus BFS distance (all three None when
-    the planner check fails).
+    worst and mean of plan length minus shortest distance (all three None
+    when the planner check fails).
 
     The verification scope is the certified subgraph: its edges are a
     subset of the true McKay graph's, and the extremal distance from zero
@@ -624,8 +634,10 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     # The planned pairs, as each source's vertex index mapped to the
     # indices of its targets.
     size = len(g.vertices)
-    if size <= _EXHAUSTIVE_VERTICES and (
-        size * len({_waypoint_key(w, p) for w in g.vertices}) <= _EXHAUSTIVE_PREFIXES
+    if (
+        size <= _EXHAUSTIVE_VERTICES
+        and size * len({_waypoint_key(w, p) for w in g.vertices}) <= _EXHAUSTIVE_PREFIXES
+        and _mask_bytes(size, (size - 1).bit_length()) <= graph_mod.DIAMETER_MEMORY_LIMIT
     ):
         everyone = range(size)
         pairs = dict.fromkeys(everyone, everyone)
@@ -671,8 +683,15 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     checks.append(("index 1 and 1+a_1 conormal at every vertex", conormal_ok))
     checks.append(("every certified move certified via conormal", certify_ok))
 
-    # One BFS row per source; zero, vertex 0 in lexicographic order, has one.
-    rows = (zero_row if i == 0 else bfs_distances(g, g.vertices[i]) for i in pairs)
+    if seed is None:
+        rows = _distance_rows(g)
+    else:
+        def bfs_row(i: int, js: list[int]) -> list[int | None]:
+            # Zero, vertex 0 in lexicographic order, has its row already.
+            row = zero_row if i == 0 else bfs_distances(g, g.vertices[i])
+            return [row[j] for j in js]
+
+        rows = map(bfs_row, pairs, pairs.values())
     planner_ok, equality_ok, gaps = _check_plans(g, pairs, rows)
     checks.append(("planner valid, admissible, within bound", planner_ok))
     checks.append(("plan(0,St) meets the bound exactly", equality_ok))
@@ -689,79 +708,121 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     return summary, checks, all(ok for _, ok in checks)
 
 
-def _walk_length(start: Weight, end: Weight, p: int, walk: Callable, *args) -> int | None:
-    """The length of ``walk(builder, *args)`` from ``start`` when the
-    builder certifies each of its blocks and it ends at ``end``; else None."""
+def _walk(start: Weight, p: int, walk: Callable, *args) -> tuple[int | None, Weight | None]:
+    """The length and the end of ``walk(builder, *args)`` from ``start``
+    when the builder certifies each of its blocks; else two Nones."""
     b = _Builder(start, p)
     try:
         walk(b, *args)
     except InvariantViolationError:
-        return None
-    return b.length if tuple(b.cur) == end else None
+        return None, None
+    return b.length, tuple(b.cur)
+
+
+def _own(js, i: int) -> list[int]:
+    """The places of source i among its targets ``js``, a range or a
+    list: its plan to itself is the empty one."""
+    if type(js) is range:
+        return [js.index(i)] if i in js else []
+    return [k for k, j in enumerate(js) if j == i]
 
 
 def _check_plans(g, pairs: dict, rows) -> tuple[bool, bool, dict]:
     """Whether the plan of every pair in ``pairs`` (source index -> target
     indices) is a certified walk within the bound and no shorter than its
-    BFS distance (``rows`` yields each source's row, in the order of
-    ``pairs``); whether plan(0,St) meets the bound; and the gap figures.
+    distance (``rows`` yields each source's distances to its targets, in
+    the order of ``pairs``); whether plan(0,St) meets the bound; and the
+    gap figures.
 
     Nothing is planned pair by pair.  The plan from lam to mu != lam is
-    the prefix lam -> K(key(mu)) (planner._to_waypoint), then the suffix
-    K(mu) -> mu (planner._from_waypoint).  So one suffix per target and one
-    prefix per source and key, each certified block by block and checked
-    to end where it must, certify every plan: two walks, the second
-    starting where the first ends, make a walk.
+    the sweep of its route (planner._route, planner._sweep), the finish
+    on to K(key(mu)) (planner._after_sweep), then the suffix K(mu) -> mu
+    (planner._from_waypoint).  So each source walks each of its distinct
+    sweeps once, each finish is walked once per (ell(lam), swept weight,
+    key) and each suffix once per target, each certified block by block
+    and checked to end where it must: two walks, the second starting
+    where the first ends, make a walk.  A source's plan lengths are its
+    heads by key plus the suffixes, and its gaps those minus its
+    distances, each list checked whole.
     """
+    from operator import add, sub
     n, p, vertices = g.n, g.p, g.vertices
     bound = length_bound(n, p)
-    waypoints: dict[tuple, Weight] = {}  # key -> K
-    suffixes: dict[int, tuple[tuple, int | None]] = {}  # target -> (key, length)
+    keys: dict[tuple, int] = {}  # key -> its number
+    known: list[tuple[tuple, Weight]] = []  # (key, K) by number
+    suffixes: dict[int, tuple[int, int | None]] = {}  # target -> (key number, length)
+
+    def suffix(j: int) -> tuple[int, int | None]:
+        got = suffixes.get(j)
+        if got is None:
+            mu = vertices[j]
+            key = _waypoint_key(mu, p)
+            c = keys.setdefault(key, len(keys))
+            if c == len(known):
+                known.append((key, _waypoint(key, n, p)))
+            length, end = _walk(known[c][1], p, _from_waypoint, mu)
+            got = suffixes[j] = c, length if end == mu else None
+        return got
+
+    finishes: dict[tuple, int | None] = {}  # (ell(lam), swept weight, key number) -> length
+    shared = None
     ok = True
     optimal = worst = total = 0
-    for (i, js), dist in zip(pairs.items(), rows):
+    for (i, js), row in zip(pairs.items(), rows):
+        if js is not shared:  # exhaustive: every source has the same targets
+            shared = js
+            kids, tails = map(list, zip(*map(suffix, js)))
+            population = {c: kids.count(c) for c in set(kids)}
+            routes: dict[int, list] = {}  # ell(lam) -> [(key number, key, K, route)]
+        own = _own(js, i)
+        # A key that only the source itself has needs no head.
+        alone = suffix(i)[0] if own else None
+        if own and population[alone] > len(own):
+            alone = None
         lam = vertices[i]
-        prefixes: dict[tuple, int | None] = {}
+        l_lam = _ell(lam, p)
+        if l_lam not in routes:
+            routes[l_lam] = [(c, *known[c], _route(l_lam, known[c][0], n)) for c in population]
+        sweeps: dict[tuple, tuple] = {}
+        heads: dict[int, int | None] = {}
+        for c, key, waypoint, route in routes[l_lam]:
+            if c == alone:
+                continue
+            sweep = sweeps.get(route)
+            if sweep is None:
+                sweep = sweeps[route] = _walk(lam, p, _sweep, lam, *route)
+            length, swept = sweep
+            if length is None:
+                heads[c] = None
+                continue
+            at = l_lam, swept, c
+            finish = finishes.get(at, -1)  # -1: not walked yet
+            if finish == -1:
+                finish, end = _walk(swept, p, _after_sweep, l_lam, key)
+                if end != waypoint:
+                    finish = None
+                finishes[at] = finish
+            heads[c] = None if finish is None else length + finish
         if i == 0:
-            from_zero = prefixes
-        for j in js:
-            if j == i:  # the empty plan
-                optimal += 1
-                continue
-            suffix = suffixes.get(j)
-            if suffix is None:
-                mu = vertices[j]
-                key = _waypoint_key(mu, p)
-                if key not in waypoints:
-                    waypoints[key] = _waypoint(key, n, p)
-                suffix = suffixes[j] = (
-                    key, _walk_length(waypoints[key], mu, p, _from_waypoint, mu)
-                )
-            key, tail = suffix
-            head = prefixes.get(key, -1)  # -1: not walked yet
-            if head == -1:
-                head = prefixes[key] = _walk_length(
-                    lam, waypoints[key], p, _to_waypoint, lam, key
-                )
-            d = dist[j]
-            # A certified walk reaches its target, so BFS must reach it too.
-            if head is None or tail is None or d is None:
-                ok = False
-                continue
-            length = head + tail
-            gap = length - d
-            if gap < 0 or length > bound:
-                ok = False
-            total += gap
-            if gap == 0:
-                optimal += 1
-            elif gap > worst:
-                worst = gap
+            from_zero = heads
+        # A certified walk reaches its target, so the distance must too.
+        if None in heads.values() or None in tails or None in row:
+            ok = False
+            continue
+        lengths = list(map(add, map(heads.get, kids, repeat(0)), tails))
+        for k in own:
+            lengths[k] = 0
+        gaps = list(map(sub, lengths, row))
+        if min(gaps) < 0 or max(lengths) > bound:
+            ok = False
+        optimal += gaps.count(0)
+        worst = max(worst, max(gaps))
+        total += sum(gaps)
 
     # Vertices are in lexicographic order: zero first, Steinberg last, and
-    # (zero, Steinberg) is a planned pair, so the loop walked both halves.
-    key, tail = suffixes[len(vertices) - 1]
-    head = from_zero[key]
+    # (zero, Steinberg) is a planned pair, so both halves were walked.
+    c, tail = suffix(len(vertices) - 1)
+    head = from_zero[c]
     exact = head is not None and tail is not None and head + tail == bound
     if not ok:
         return ok, exact, dict.fromkeys(("optimal_pairs", "worst_gap", "mean_gap"))

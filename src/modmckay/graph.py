@@ -19,9 +19,10 @@ two generations of V-bit masks take 2 * V^2 / 8 bytes, and each of the
 matrix's bit_length(V - 1) bit planes V^2 / 8 more.  Above
 DIAMETER_MEMORY_LIMIT (1 GiB: about 65,000 vertices for the diameter,
 22,000 for the matrix) the traversal is refused with BudgetExceededError
-before anything is allocated.  Per-source BFS serves single rows
-(``bfs --from``) and the distances ``verify`` checks plans against; the
-matrix does not use it.
+before anything is allocated.  When ``verify`` plans every ordered
+pair, it reads each source's distances from the matrix's lanes too.
+Per-source BFS serves single rows: ``bfs --from``, d(0, St) in
+``verify``, and the distances of the pairs ``verify`` samples.
 """
 
 from __future__ import annotations
@@ -71,17 +72,21 @@ class CertifiedGraph:
 
     def to_json_dict(self) -> dict:
         """The graph as JSON data; the edges with one move share one dict
-        of it, which the command line renders once."""
-        moves = {m: m.to_json_dict() for m in {m for adj in self.adjacency for m, _ in adj}}
+        of it, which the command line renders once.  The table of those
+        dicts is built with the edges, one lookup per edge."""
+        moves: dict[Move, dict] = {}
+        edges = []
+        for i, adj in enumerate(self.adjacency):
+            for move, j in adj:
+                data = moves.get(move)
+                if data is None:
+                    data = moves[move] = move.to_json_dict()
+                edges.append({"from": i, "to": j, "move": data})
         return {
             "n": self.n,
             "p": self.p,
             "vertices": [list(w) for w in self.vertices],
-            "edges": [
-                {"from": i, "to": j, "move": moves[move]}
-                for i, adj in enumerate(self.adjacency)
-                for move, j in adj
-            ],
+            "edges": edges,
         }
 
 
@@ -163,6 +168,11 @@ def bfs_distances(g: CertifiedGraph, source: Weight) -> list[int | None]:
     return dist
 
 
+def _mask_bytes(size: int, planes: int) -> int:
+    """Bytes of two generations of V masks and ``planes`` more lists of them."""
+    return (2 + planes) * size * size // 8
+
+
 def _rounds(
     g: CertifiedGraph, planes: int, what: str
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -176,7 +186,7 @@ def _rounds(
     the result refused when all of them would exceed DIAMETER_MEMORY_LIMIT.
     """
     size = len(g.vertices)
-    need = (2 + planes) * size * size // 8
+    need = _mask_bytes(size, planes)
     if need > DIAMETER_MEMORY_LIMIT:
         raise BudgetExceededError(
             f"{what} of {size} vertices needs {need} bytes of "
@@ -265,27 +275,20 @@ def neighbors_to_dot(w: Weight, neighbors: set[tuple[str, Weight]]) -> str:
     return _dot("neighbors", [center] + [nb for _, nb, _ in edges], edges)
 
 
-def distance_matrix_csv(g: CertifiedGraph) -> str:
-    """All-pairs distance matrix as CSV, byte for byte what ``csv.writer``
-    writes: a header row of weight labels, then one row per source, with
-    an empty cell for a target the source never reaches.
+def _distance_planes(g: CertifiedGraph) -> tuple[list[list[int]], int]:
+    """The all-pairs distances as bit planes, and the value of a target
+    the source never reaches: one more than the last round.
 
     Plane j holds, per source, the targets first reached in a round whose
     bit j is set.  A run of such rounds a..b adds the masks after b XOR
     those after a - 1, so the masks after round m enter plane j whenever
     bit j of m differs from that of m + 1, and the last masks enter the
     planes of the bits of the last round.  Unreached targets, if any, are
-    reached in one more round, and their cells left empty.
-
-    Rows render in blocks of about 64 KB of lanes, one per (source,
-    target), one byte wide below distance 255.  A block's planes become
-    big ints of lanes that, shifted by j, add up to the values; one
-    bytes.translate per decimal digit writes the cells after "," with NUL
-    padding, deleted at the end.  Wider lanes are looked up one by one.
+    reached in one more round.
     """
     size = len(g.vertices)
     full = (1 << size) - 1
-    planes: list = [None] * size.bit_length()  # cell values are at most V
+    planes: list = [None] * size.bit_length()  # values are at most V
 
     def toggle(bits: int, masks: list[int]) -> None:
         for j in range(bits.bit_length()):
@@ -302,27 +305,69 @@ def distance_matrix_csv(g: CertifiedGraph) -> str:
         k, after = unreached, [full] * size
     toggle(k, after)
     del planes[k.bit_length() :]
-    # A cell is "," and its digits padded with NULs; tables[i] maps a lane
-    # to byte i of its cell.
-    stride = len(str(unreached - 1)) + 1
-    cells = [f",{d}".encode().ljust(stride, b"\0") for d in [*range(unreached), ""]]
-    tables = [bytes(column).ljust(256, b"\0") for column in zip(*cells)]
-    width, codec = (1, "latin-1") if unreached < 256 else (4, "utf-32-be")
-    # csv's minimal quoting, for labels made of digits and commas.
-    labels = [(f'"{w}"' if "," in w else w).encode() for w in map(format_weight, g.vertices)]
-    out = [b",".join([b"source", *labels]).decode() + "\r\n"]
-    line, step = size * stride, max(1, (1 << 16) // (size * width))
+    return planes, unreached
+
+
+def _lane_blocks(planes: list, size: int, width: int) -> Iterator[tuple[int, bytes]]:
+    """The distances of _distance_planes in blocks of about 64 KB, each as
+    its first source and its lanes: ``width`` bytes, little-endian, per
+    (source, target), in row-major order.
+
+    A block's planes become big ints of lanes that, shifted by j, add up
+    to the values.  A mask's "0"s and "1"s encode to lanes of ord("0")
+    plus the bit, so the lanes of all "0"s come off.  With the sources in
+    reverse, the lowest lane is the block's first source and target 0.
+    """
+    codec = "latin-1" if width == 1 else "utf-32-be"
+    step = max(1, (1 << 16) // (size * width))
     for start in range(0, size, step):
         rows = min(step, size - start)
-        # A mask's "0"s and "1"s encode to lanes of ord("0") plus the bit, so
-        # the lanes of all "0"s come off.  With the sources in reverse, the
-        # lowest lane is the block's first source and target 0.
         zeros = int.from_bytes(("0" * rows * size).encode(codec), "big")
         value = zeros - (zeros << len(planes))
         for j, masks in enumerate(planes):
             text = "".join(map(format, masks[start : start + rows][::-1], repeat(f"0{size}b")))
             value += int.from_bytes(text.encode(codec), "big") << j
-        values = value.to_bytes(rows * size * width, "little")
+        yield start, value.to_bytes(rows * size * width, "little")
+
+
+def _distance_rows(g: CertifiedGraph) -> Iterator[list[int | None]]:
+    """Each source's distances to every vertex, aligned with g.vertices
+    and None where unreached, read from the distance matrix's lanes."""
+    size = len(g.vertices)
+    planes, unreached = _distance_planes(g)
+    width = 1 if unreached < 256 else 4
+    for _, values in _lane_blocks(planes, size, width):
+        lanes = values if width == 1 else list(map(ord, values.decode("utf-32-le")))
+        for at in range(0, len(lanes), size):
+            row = list(lanes[at : at + size])
+            if unreached in row:
+                row = [None if d == unreached else d for d in row]
+            yield row
+
+
+def distance_matrix_csv(g: CertifiedGraph) -> str:
+    """All-pairs distance matrix as CSV, byte for byte what ``csv.writer``
+    writes: a header row of weight labels, then one row per source, with
+    an empty cell for a target the source never reaches.
+
+    Rows render from the lanes of _lane_blocks, one byte wide below
+    distance 255: one bytes.translate per decimal digit writes the cells
+    after "," with NUL padding, deleted at the end.  Wider lanes are
+    looked up one by one.
+    """
+    size = len(g.vertices)
+    planes, unreached = _distance_planes(g)
+    # A cell is "," and its digits padded with NULs; tables[i] maps a lane
+    # to byte i of its cell.
+    stride = len(str(unreached - 1)) + 1
+    cells = [f",{d}".encode().ljust(stride, b"\0") for d in [*range(unreached), ""]]
+    tables = [bytes(column).ljust(256, b"\0") for column in zip(*cells)]
+    width = 1 if unreached < 256 else 4
+    # csv's minimal quoting, for labels made of digits and commas.
+    labels = [(f'"{w}"' if "," in w else w).encode() for w in map(format_weight, g.vertices)]
+    out = [b",".join([b"source", *labels]).decode() + "\r\n"]
+    line = size * stride
+    for start, values in _lane_blocks(planes, size, width):
         if width == 1:
             grid = bytearray(len(values) * stride)
             for i, table in enumerate(tables):

@@ -38,9 +38,14 @@ routes, by how lam and mu compare: ell(lam) > ell(mu), which includes
 every zero source; mu ending in 0, which includes the zero target; and
 every other mu, whose entry at ell(mu) the sweep deposits.  It reads mu
 only through its key (ell(mu), mu_ell, whether mu ends in 0), and the
-walk on from K(mu) reads nothing of lam; so ``verify`` certifies one
-prefix per source and key and one suffix per target instead of a plan
-per pair.  The canonical path itself is such a walk: its stage j is
+walk on from K(mu) reads nothing of lam.  Each route is a sweep, a run
+of add_first and then clear_forward runs until the entries below a stop
+are zero, followed by a finish from the swept weight: fills, clear_last
+or one clear_forward run.  The first route's sweep reads nothing of the
+key, and a finish reads nothing of lam but ell(lam).  So ``verify``
+certifies each distinct sweep once per source, each finish once per
+(ell(lam), swept weight, key) and one suffix per target, instead of a
+plan per pair.  The canonical path itself is such a walk: its stage j is
 travel(n-j) x (p-1), so from zero the planner reaches K(mu) by the same
 certified fills as from any weight with ell above ell(mu).
 
@@ -353,39 +358,60 @@ def _waypoint(key: tuple[int, int | None, bool], n: int, p: int) -> Weight:
 
 def _to_waypoint(b: _Builder, lam: Weight, key: tuple[int, int | None, bool]) -> None:
     """Walk the builder from lam, its current weight, to K of the targets
-    with this key, by the route that ell(lam) and the key select."""
+    with this key, by the route that ell(lam) and the key select: the
+    route's sweep, then the finish from the swept weight."""
+    l_lam = _ell(lam, b.p)
+    _sweep(b, lam, *_route(l_lam, key, len(lam) + 1))
+    _after_sweep(b, l_lam, key)
+
+
+def _route(l_lam: int, key: tuple[int, int | None, bool], n: int) -> tuple[int, int, int]:
+    """The sweep of the route from a source with ell(lam) = ``l_lam`` to K
+    of ``key``, as the arguments (upto, r, stop) of _sweep."""
+    l_mu, entry, ends_in_zero = key
+    if l_lam > l_mu:
+        # Zero out everything below ell(lam); the congruence makes the
+        # swept entry land on p-1 or stay 0.  This reads nothing of the key.
+        return l_lam, 0, l_lam
+    if ends_in_zero:
+        # mu is zero (ell(mu) = n, so the sum runs over all n-1 entries)
+        # or ends in 0 at ell(mu) = n-1: flush the sum to a 1 at the last
+        # position.
+        return l_mu, 1, n - 1
+    # ell(lam) <= ell(mu) and mu ends in a nonzero entry: sweeping below
+    # ell(mu) deposits mu's entry there thanks to the congruence target,
+    # or p-1 where that entry is 0.
+    return l_mu, entry, l_mu
+
+
+def _sweep(b: _Builder, lam: Weight, upto: int, r: int, stop: int) -> None:
+    """Add _lambda_zero(lam, upto, r) at the front, then clear forward
+    until every position before ``stop`` is zero."""
+    b.run(_TRAVEL, 1, _lambda_zero(lam, upto, r, b.p))
+    b.sweep_below(stop)
+
+
+def _after_sweep(b: _Builder, l_lam: int, key: tuple[int, int | None, bool]) -> None:
+    """Walk the builder from the weight that the sweep of _route(l_lam,
+    key) left to K of ``key``; this reads nothing else of the source."""
     l_mu, entry, ends_in_zero = key
     p = b.p
-    n = len(lam) + 1
-    l_lam = _ell(lam, p)
+    n = len(b.cur) + 1
     if l_lam > l_mu:
-        # Zero out everything below ell(lam) (the congruence makes the
-        # swept entry land on p-1 or stay 0), then top up positions
-        # ell(lam)..ell(mu)+1 to p-1 and set mu's entry at ell(mu).
-        # From zero, where ell is n, this rides the canonical path.
-        b.run(_TRAVEL, 1, _lambda_zero(lam, l_lam, 0, p))
-        b.sweep_below(l_lam)
+        # Top up positions ell(lam)..ell(mu)+1 to p-1 and set mu's entry at
+        # ell(mu).  From zero, where ell is n, this rides the canonical path.
         for x in range(min(l_lam, n - 1), l_mu, -1):
             b.fill(x, p - 1)
         if l_mu >= 1:
             b.fill(l_mu, entry)
     elif ends_in_zero:
-        # mu is zero (ell(mu) = n, so the sum runs over all n-1 entries)
-        # or ends in 0 at ell(mu) = n-1: flush the sum to a 1 at the
-        # last position and clear it off the end.
-        b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, 1, p))
-        b.sweep_below(n - 1)
+        # Clear the 1 off the end.
         b.run(CLEAR_LAST, n - 1)
-    else:
-        # ell(lam) <= ell(mu) and mu ends in a nonzero entry: sweeping
-        # below ell(mu) deposits mu's entry there thanks to the
-        # congruence target, or p-1 where that entry is 0.  A p-1 (never
-        # mu's entry, which is below p-1) is recycled into the (already
-        # p-1) entry beyond it, which wraps around and restores itself.
-        b.run(_TRAVEL, 1, _lambda_zero(lam, l_mu, entry, p))
-        b.sweep_below(l_mu)
-        if b.cur[l_mu - 1] == p - 1:
-            b.run(CLEAR_FORWARD, l_mu, p - 1)
+    elif b.cur[l_mu - 1] == p - 1:
+        # A p-1 (never mu's entry, which is below p-1) is recycled into the
+        # (already p-1) entry beyond it, which wraps around and restores
+        # itself.
+        b.run(CLEAR_FORWARD, l_mu, p - 1)
 
 
 def _from_waypoint(b: _Builder, mu: Weight) -> None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verify_oracle
 from modmckay import cli, planner
 from modmckay import graph as graph_mod
 from modmckay.cli import main
@@ -222,15 +223,63 @@ class TestVerifyCommand:
         assert all(check["ok"] for check in payload["checks"])
 
     def test_planner_invariant_violation_fails_check(self, capsys, monkeypatch):
-        def broken(b, lam, key):
+        def broken(b, *args):
             raise InvariantViolationError("plan ends at (1,), wanted (0,)")
 
-        monkeypatch.setattr(cli, "_to_waypoint", broken)
+        # The walk to the waypoint: the route's sweep, then the finish.
+        monkeypatch.setattr(cli, "_sweep", broken)
+        monkeypatch.setattr(cli, "_after_sweep", broken)
         code, out, err = run(capsys, "verify", "--n", "2", "--p", "3")
         assert code == 1 and err == ""
         assert "FAIL  planner valid, admissible, within bound" in out
         assert "FAIL  plan(0,St) meets the bound exactly" in out
         assert out.endswith("some checks FAILED\n")
+
+    @pytest.mark.parametrize("piece", ["_sweep", "_after_sweep"])
+    def test_a_wrong_sweep_or_finish_fails_the_planner_line(self, capsys, monkeypatch, piece):
+        # One add_first too many after the piece: from a swept weight the
+        # finish no longer reaches K, and a finish ends one move past K.
+        # From zero to Steinberg the walk takes both pieces, so plan(0,St)
+        # fails too.
+        real = getattr(cli, piece)
+
+        def overshooting(b, *args):
+            real(b, *args)
+            b.run(planner._TRAVEL, 1)
+
+        monkeypatch.setattr(cli, piece, overshooting)
+        code, out, err = run(capsys, "verify", "--n", "4", "--p", "3")
+        assert code == 1 and err == ""
+        assert "FAIL  planner valid, admissible, within bound" in out
+        assert "FAIL  plan(0,St) meets the bound exactly" in out
+        assert out.endswith("some checks FAILED\n")
+
+    def test_one_bfs_and_one_route_one_sweep_per_source(self, capsys, monkeypatch):
+        # Every pair is planned: the distances come from the matrix, and BFS
+        # runs once, for d(0,St).  Each source walks each of its distinct
+        # sweeps once, among them the one its route-1 keys share.
+        sources, sweeps = [], []
+        real_bfs, real_sweep = cli.bfs_distances, cli._sweep
+
+        def counting_bfs(g, source):
+            sources.append(source)
+            return real_bfs(g, source)
+
+        def counting_sweep(b, lam, *route):
+            sweeps.append((lam, route))
+            real_sweep(b, lam, *route)
+
+        monkeypatch.setattr(cli, "bfs_distances", counting_bfs)
+        monkeypatch.setattr(cli, "_sweep", counting_sweep)
+        code, out, _ = run(capsys, "verify", "--n", "4", "--p", "3", "--format", "json")
+        assert code == 0 and json.loads(out)["pair_mode"] == "exhaustive"
+        assert sources == [(0, 0, 0)]
+        assert len(sweeps) == len(set(sweeps))
+        vertices = graph_mod.build_certified_graph(4, 3).vertices
+        ells = {lam: planner._ell(lam, 3) for lam in vertices}
+        route_one = {(lam, (l, 0, l)) for lam, l in ells.items()}
+        # The Steinberg weight, ell 0, has no key below its own.
+        assert route_one - set(sweeps) == {((2, 2, 2), (0, 0, 0))}
 
     @pytest.mark.parametrize("half", ["prefix", "suffix"])
     def test_a_wrong_walk_fails_the_planner_line(self, capsys, monkeypatch, half):
@@ -302,6 +351,57 @@ class TestVerifyCommand:
         assert code == 0
         assert len(sources) == len(set(sources)) < 1369
         assert (0, 0) in sources
+
+
+def checked_against_oracle(monkeypatch, n, p):
+    """Run verify at (n, p) and compare its planner check with the
+    per-pair loop over BFS rows on the same pairs; return the pair mode."""
+    seen = []
+    real = cli._check_plans
+
+    def spy(g, pairs, rows):
+        seen.append((g, pairs, real(g, pairs, rows)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(cli, "_check_plans", spy)
+    summary, _, _ = cli.run_verification(n, p, 10**6)
+    [(g, pairs, got)] = seen
+    assert got == verify_oracle.check_plans(g, pairs)
+    return summary["pair_mode"]
+
+
+_ORACLE_INSTANCES = [
+    (n, p) for n in range(2, 8) for p in (2, 3, 5, 7) if p ** (n - 1) <= 729
+]
+
+
+class TestPlannerCheckOracle:
+    """cli._check_plans, from shared sweeps and matrix rows, against the
+    per-pair loop it replaced (tests/verify_oracle.py): the same ok, the
+    same plan(0,St) answer and the same gap figures."""
+
+    @pytest.mark.parametrize("n, p", _ORACLE_INSTANCES)
+    def test_every_exhaustive_instance(self, monkeypatch, n, p):
+        assert checked_against_oracle(monkeypatch, n, p) == "exhaustive"
+
+    def test_n2_at_the_prefix_limit(self, monkeypatch):
+        assert checked_against_oracle(monkeypatch, 2, 251) == "exhaustive"
+
+    def test_sampled_pairs(self, monkeypatch):
+        assert checked_against_oracle(monkeypatch, 3, 37) == "sampled"
+
+    @pytest.mark.parametrize("factor", [0, 10])
+    @pytest.mark.parametrize("n, p", [(3, 3), (4, 5)])
+    def test_miscounted_lengths(self, monkeypatch, factor, n, p):
+        real = planner._Builder.run
+
+        def miscounting(b, kind, at, k=1):
+            before = b.length
+            real(b, kind, at, k)
+            b.length = before + factor * (b.length - before)
+
+        monkeypatch.setattr(planner._Builder, "run", miscounting)
+        checked_against_oracle(monkeypatch, n, p)
 
 
 class TestErrorHandling:

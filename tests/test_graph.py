@@ -187,6 +187,13 @@ def sink_graph() -> CertifiedGraph:
     return CertifiedGraph(n=2, p=4, vertices=vertices, adjacency=adjacency)
 
 
+def path_graph() -> CertifiedGraph:
+    """0 -> 1 -> 2 -> 3, with no edge out of 3."""
+    m = Move("add_first")
+    adjacency = (((m, 1),), ((m, 2),), ((m, 3),), ())
+    return CertifiedGraph(n=2, p=4, vertices=((0,), (1,), (2,), (3,)), adjacency=adjacency)
+
+
 class TestDiameter:
     def test_3_2_with_witness(self):
         g = build_certified_graph(3, 2)
@@ -265,11 +272,9 @@ class TestDistanceMatrix:
         assert max(int(cell) for line in text.splitlines()[1:] for cell in line.split(",")[1:]) == 198
 
     def test_unreached_targets_beyond_a_longest_path(self):
-        # 0 -> 1 -> 2 -> 3 and no edge out of 3: distances reach V - 1 = 3,
-        # so the unreached cells need a third bit plane.
-        m = Move("add_first")
-        adjacency = (((m, 1),), ((m, 2),), ((m, 3),), ())
-        g = CertifiedGraph(n=2, p=4, vertices=((0,), (1,), (2,), (3,)), adjacency=adjacency)
+        # Distances reach V - 1 = 3, so the unreached cells need a third
+        # bit plane.
+        g = path_graph()
         text = distance_matrix_csv(g)
         assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
         assert text.splitlines()[1:] == ["0,0,1,2,3", "1,,0,1,2", "2,,,0,1", "3,,,,0"]
@@ -285,6 +290,15 @@ class TestDistanceMatrix:
         text = distance_matrix_csv(g)
         assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
         assert text == "source,0\r\n0,0\r\n"
+
+    def test_rows_match_bfs(self):
+        # The rows verify reads from the matrix's lanes: one-byte lanes,
+        # four-byte lanes at (2,257), and None where a target is unreached.
+        for g in (
+            build_certified_graph(4, 3), build_certified_graph(2, 257), sink_graph(), path_graph()
+        ):
+            rows = list(graph_mod._distance_rows(g))
+            assert rows == [bfs_distances(g, w) for w in g.vertices]
 
 
 class TestExports:
