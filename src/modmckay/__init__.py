@@ -16,7 +16,7 @@ from .weights import (
     to_scaled_root_coeffs,
     weight_to_partition,
 )
-from .char0 import canonical_path_char0, char0_distance, lr_neighbors
+from .char0 import char0_distance, lr_neighbors
 from .conormal import addable_indices, bk_children, conormal_indices, removable_indices
 from .moves import Move, NoSuchEdgeError, certified_moves, validate_move
 from .planner import InvariantViolationError, PathPlan, length_bound, plan_path
@@ -39,7 +39,6 @@ __all__ = [
     "bfs_distances",
     "bk_children",
     "build_certified_graph",
-    "canonical_path_char0",
     "certified_moves",
     "char0_distance",
     "conormal_indices",

@@ -1,5 +1,5 @@
-"""The characteristic-0 McKay graph of SL_n: tensor-with-standard neighbours,
-the explicit zero-to-Steinberg path, and exact bounded distance search.
+"""The characteristic-0 McKay graph of SL_n: tensor-with-standard neighbours
+and exact bounded distance search.
 
 Edges out of a dominant weight come in three kinds, labelled by strings:
 
@@ -11,13 +11,13 @@ Edges out of a dominant weight come in three kinds, labelled by strings:
 In the partition picture these are exactly the ways of adding one box to
 the attached length-n partition (row 1, row i+1, row n respectively).
 The graph is infinite, so the distance search takes a mandatory budget.
+The explicit zero-to-Steinberg path of "a" and "b(i)" edges is the
+planner's plan from zero to the Steinberg weight (planner.plan_path).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .weights import Weight, _f, check_weight, steinberg_weight
+from .weights import Weight, _f, check_weight
 
 _A = "a"
 _C = "c"
@@ -51,32 +51,6 @@ def _neighbors(w: Weight) -> set[tuple[str, Weight]]:
         else:  # i == n-1: drop the last coordinate
             out.add((_C, w[:-1] + (w[-1] - 1,)))
     return out
-
-
-@lru_cache(maxsize=None)
-def canonical_path_char0(n: int, p: int) -> tuple[Weight, ...]:
-    """The explicit path of "a" and "b" edges from the zero weight to
-    (p-1,...,p-1).
-
-    Stage j (j = 1..n-1) repeats p-1 times the block [one "a" edge, then
-    "b(i)" edges for i = 1..n-j-1]; each repetition carries a 1 from the
-    front to position n-j.  The total length is (p-1)(n^2-n)/2, and the
-    result is memoized per (n, p).
-    """
-    if n < 2 or p < 2:
-        raise ValueError("need n >= 2 and p >= 2")
-    w = [0] * (n - 1)
-    path = [tuple(w)]
-    for stage in range(1, n):
-        for _ in range(p - 1):
-            w[0] += 1
-            path.append(tuple(w))
-            for i in range(1, n - stage):
-                w[i - 1] -= 1
-                w[i] += 1
-                path.append(tuple(w))
-    assert tuple(w) == steinberg_weight(n, p)
-    return tuple(path)
 
 
 def char0_distance(src: Weight, tgt: Weight, budget: int) -> int | None:

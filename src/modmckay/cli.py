@@ -8,9 +8,10 @@ Each subcommand is registered once, by the ``_command`` decorator on its
 handler: the help text, the option groups, the formats and whether
 ``--n`` is required.  The parser is built from that table.  A handler
 returns ``(payload, views, code)``: ``main`` renders ``--format json``
-from the payload, which may hold weight tuples and Move, PathPlan or
-CertifiedGraph objects, and every other format by calling the view of
-that name, so each output is built only when asked for.
+from the payload, which may hold weight tuples, Move, PathPlan or
+CertifiedGraph objects and functions that append their own pieces, and
+every other format by calling the view of that name, so each output is
+built only when asked for.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
 by ``_encode`` into one list of pieces.  Scalars go through the stdlib's
@@ -22,7 +23,9 @@ cached cells, other values once per distinct object.  A plan renders
 from its blocks (``_plan_json``): a block is its unit's text repeated,
 from a table of move labels per unit, and the waypoint rows are built
 per block from shared leads and tails (``PathPlan._rows``).  The text
-and DOT views of a plan take the same rows and labels.
+and DOT views of a plan take the same rows and labels, and so does
+``canonical-path``, which renders the plan from zero to the Steinberg
+weight.
 
 Exit codes: 0 success; 1 verification failure (``verify``,
 ``validate``) or a planner invariant violation, reported as ``error:``
@@ -43,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import graph as graph_mod
-from .char0 import canonical_path_char0, char0_distance, lr_neighbors
+from .char0 import _A, _b, char0_distance, lr_neighbors
 from .conormal import _rows, addable_indices, conormal_indices, removable_indices
 from .graph import (
     BudgetExceededError,
@@ -279,6 +282,8 @@ def _encode(obj, indent: str, out: list[str]) -> None:
         out.append(indent + "}")
     elif type(obj) is PathPlan:
         _plan_json(obj, indent, out)
+    elif callable(obj):  # a renderer of its own pieces, such as _waypoints_json's
+        obj(indent, out)
     else:
         _encode(obj.to_json_dict(), indent, out)
 
@@ -302,8 +307,8 @@ def _plan_json(plan: PathPlan, indent: str, out: list[str]) -> None:
     """Append the pieces of ``json.dumps(plan.to_json_dict(), indent=2)``
     nested at ``indent``, rendered from the plan's blocks: the moves from
     a table of their texts per unit (PathPlan._labels, each text from
-    ``_move_json``), and the waypoints from the rows that PathPlan._rows
-    builds per block from shared leads and tails."""
+    ``_move_json``), and the waypoints by ``_waypoints_json``, which
+    canonical-path shares."""
     inner = indent + "  "
     item = inner + "  "
     _members((
@@ -313,14 +318,21 @@ def _plan_json(plan: PathPlan, indent: str, out: list[str]) -> None:
 
     labels = plan._labels(lambda move: _move_json(move, item))
     moves = "[" + item + ("," + item).join(labels) + inner + "]" if plan.blocks else "[]"
-    out.append("," + inner + '"moves": ' + moves)
+    out.append("," + inner + '"moves": ' + moves + "," + inner + '"waypoints": ')
+    _waypoints_json(plan, inner, out)
+    out.append(indent + "}")
 
-    # The rows go in as pieces, each followed by its separator or, the
-    # last, by the close, so their text is copied once, by the final join.
+
+def _waypoints_json(plan: PathPlan, indent: str, out: list[str]) -> None:
+    """Append the pieces of the plan's waypoints as a JSON list nested at
+    ``indent``, from the rows that PathPlan._rows builds per block.  The
+    rows go in as pieces, each followed by its separator or, the last, by
+    the close, so their text is copied once, by the final join."""
+    item = indent + "  "
     rows = plan._rows(item + "  ")
     ends = [item + "]," + item + "["] * len(rows)
-    ends[-1] = item + "]" + inner + "]" + indent + "}"
-    out.append("," + inner + '"waypoints": [' + item + "[")
+    ends[-1] = item + "]" + indent + "]"
+    out.append("[" + item + "[")
     out += chain.from_iterable(zip(rows, ends))
 
 
@@ -344,8 +356,9 @@ def _text(obj, indent: str) -> str:
 
 def _json(payload) -> str:
     """``json.dumps(payload, indent=2) + "\\n"``, byte for byte; moves
-    and graphs in the payload render through their to_json_dict and plans
-    from their blocks, only when JSON is asked for."""
+    and graphs in the payload render through their to_json_dict, plans
+    from their blocks and functions by appending their own pieces, only
+    when JSON is asked for."""
     pieces: list[str] = []
     _encode(payload, "\n", pieces)
     pieces.append("\n")
@@ -401,27 +414,21 @@ def _check_walk(moves: int, n: int) -> None:
         )
 
 
-def _lr_kind(a: Weight, b: Weight) -> str:
-    kinds = sorted(k for k, t in lr_neighbors(a) if t == b)
-    return kinds[0] if kinds else "?"
-
-
 @_command("canonical-path", "explicit zero-to-Steinberg path", "p",
           formats=("text", "json", "dot"), needs_n=True)
 def _cmd_canonical_path(args):
+    # The planner's zero-to-Steinberg plan: travel(n-j) x (p-1) for j = 1..n-1.
     _check_walk(length_bound(args.n, args.p), args.n)
-    path = canonical_path_char0(args.n, args.p)
-    payload = {"n": args.n, "p": args.p, "length": len(path) - 1, "waypoints": path}
+    plan = plan_path((0,) * (args.n - 1), steinberg_weight(args.n, args.p), args.p)
+    payload = {"n": args.n, "p": args.p, "length": plan.length,
+               "waypoints": functools.partial(_waypoints_json, plan)}
 
     def dot() -> str:
-        kinds = [_lr_kind(a, b) for a, b in zip(path, path[1:])]
-        name = f"canonical_n{args.n}_p{args.p}"
-        return graph_mod.walk_to_dot(name, map(format_weight, path), kinds)
+        # Its moves are add_first and clear_forward, the edges "a" and "b(i)".
+        kinds = plan._labels(lambda move: _A if move.s is None else _b(move.s))
+        return graph_mod.walk_to_dot(f"canonical_n{plan.n}_p{plan.p}", plan._rows(), kinds)
 
-    return payload, {
-        "text": lambda: "".join(format_weight(w) + "\n" for w in path),
-        "dot": dot,
-    }, 0
+    return payload, {"text": lambda: "\n".join(plan._rows()) + "\n", "dot": dot}, 0
 
 
 @_command("char0-dist", "exact bounded distance in characteristic 0",
@@ -659,13 +666,19 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     zero_row = bfs_distances(g, zero)
     checks.append(("d(0,St) equals the bound", zero_row[g.index_of(st)] == bound))
 
-    # A certified move leads from a p-restricted weight to one, and so does
-    # each step of a path from zero that passes.
-    path = canonical_path_char0(n, p)
-    canonical_ok = (
-        len(path) - 1 == bound and path[0] == zero and path[-1] == st
-        and all(any(t == b for _, t in _successors(a, p)) for a, b in zip(path, path[1:]))
-    )
+    # The planner's blocks, stepped move by move through the certified
+    # edges: a certified move leads from a p-restricted weight to one, and
+    # so does each step of a path from zero that passes.
+    try:
+        canonical = plan_path(zero, st, p)
+    except InvariantViolationError:
+        canonical_ok = False
+    else:
+        path = canonical.waypoints
+        canonical_ok = (
+            canonical.length == len(path) - 1 == bound and path[-1] == st
+            and all(any(t == b for _, t in _successors(a, p)) for a, b in zip(path, path[1:]))
+        )
     checks.append(("canonical path valid, length equals bound", canonical_ok))
 
     conormal_ok = True
@@ -837,7 +850,7 @@ def _check_plans(g, pairs: dict, rows) -> tuple[bool, bool, dict]:
 # ----------------------------------------------------------------- parser
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modmckay",

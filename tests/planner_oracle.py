@@ -3,7 +3,10 @@
 # with, which modmckay.moves no longer has: the step-by-step oracle that
 # tests/test_planner.py compares modmckay.planner's expanded plans against.
 # At the end, ``rows``: the per-move renderer of a block plan's waypoint
-# rows, the oracle of the block-wise PathPlan._rows.
+# rows, the oracle of the block-wise PathPlan._rows.  At the start,
+# ``canonical_path_char0``: the zero-to-Steinberg path built edge by edge,
+# as modmckay.char0 had it; the oracle of the plan from zero to the
+# Steinberg weight, which the canonical-path command renders.
 """Constructive paths between arbitrary p-restricted weights.
 
 For any source and target the planner emits an explicit list of certified
@@ -38,7 +41,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from modmckay.char0 import canonical_path_char0
 from modmckay.moves import (
     _ADD_FIRST_MOVE,
     _CLEAR_LAST_MOVE,
@@ -48,7 +50,33 @@ from modmckay.moves import (
     first_nonzero_position,
     validate_move,
 )
-from modmckay.weights import Weight, require_restricted
+from modmckay.weights import Weight, require_restricted, steinberg_weight
+
+
+@lru_cache(maxsize=None)
+def canonical_path_char0(n: int, p: int) -> tuple[Weight, ...]:
+    """The explicit path of "a" and "b" edges from the zero weight to
+    (p-1,...,p-1).
+
+    Stage j (j = 1..n-1) repeats p-1 times the block [one "a" edge, then
+    "b(i)" edges for i = 1..n-j-1]; each repetition carries a 1 from the
+    front to position n-j.  The total length is (p-1)(n^2-n)/2, and the
+    result is memoized per (n, p).
+    """
+    if n < 2 or p < 2:
+        raise ValueError("need n >= 2 and p >= 2")
+    w = [0] * (n - 1)
+    path = [tuple(w)]
+    for stage in range(1, n):
+        for _ in range(p - 1):
+            w[0] += 1
+            path.append(tuple(w))
+            for i in range(1, n - stage):
+                w[i - 1] -= 1
+                w[i] += 1
+                path.append(tuple(w))
+    assert tuple(w) == steinberg_weight(n, p)
+    return tuple(path)
 
 
 class NotApplicableError(ValueError):

@@ -9,7 +9,7 @@ import time
 from functools import lru_cache
 from itertools import permutations, product
 
-from modmckay.char0 import canonical_path_char0, char0_distance, lr_neighbors
+from modmckay.char0 import char0_distance, lr_neighbors
 from modmckay.conormal import addable_indices, conormal_indices
 from modmckay.graph import build_certified_graph
 from modmckay.moves import _certify, certified_moves, validate_move
@@ -23,6 +23,7 @@ from modmckay.weights import (
 )
 from conormal_oracle import _residue_sets, block_form
 from graph_oracle import all_pairs_distances
+from planner_oracle import canonical_path_char0
 from weights_oracle import cartan_matrix, p_adic_decompose
 
 DIAMETER_TABLE = {
@@ -174,7 +175,10 @@ def test_criterion_6_structural_invariants():
 
 
 def test_criterion_7_golden_canonical_path():
-    assert canonical_path_char0(5, 2) == (
+    # The walk that canonical-path renders, the planner's from zero to the
+    # Steinberg weight, and the edge-by-edge oracle.
+    plan = plan_path((0, 0, 0, 0), steinberg_weight(5, 2), 2)
+    expected = (
         (0, 0, 0, 0),
         (1, 0, 0, 0),
         (0, 1, 0, 0),
@@ -187,7 +191,8 @@ def test_criterion_7_golden_canonical_path():
         (0, 1, 1, 1),
         (1, 1, 1, 1),
     )
-    assert len(canonical_path_char0(5, 2)) - 1 == 10
+    assert plan.waypoints == canonical_path_char0(5, 2) == expected
+    assert plan.length == len(expected) - 1 == 10
     print("ACCEPTANCE 7 golden canonical path (n=5, p=2): PASS")
 
 

@@ -5,13 +5,15 @@ from itertools import product
 
 import pytest
 
-from modmckay.char0 import canonical_path_char0, char0_distance, lr_neighbors
+from modmckay.char0 import char0_distance, lr_neighbors
+from modmckay.planner import plan_path
 from modmckay.weights import (
     f_value,
     partition_to_weight,
     steinberg_weight,
     weight_to_partition,
 )
+from planner_oracle import canonical_path_char0
 
 
 def box_add_oracle(w):
@@ -67,9 +69,18 @@ class TestLrNeighbors:
                 assert delta == (-(n - 1) if kind == "c" else 1)
 
 
+def canonical_path(n, p):
+    """The waypoints of the planner's zero-to-Steinberg plan, which the
+    canonical-path command renders."""
+    return plan_path((0,) * (n - 1), steinberg_weight(n, p), p).waypoints
+
+
 class TestCanonicalPath:
+    """The planner's zero-to-Steinberg walk, and the edge-by-edge oracle
+    that modmckay.char0 used to build, against the same literal paths."""
+
     def test_golden_path_n5_p2(self):
-        assert canonical_path_char0(5, 2) == (
+        expected = (
             (0, 0, 0, 0),
             (1, 0, 0, 0),
             (0, 1, 0, 0),
@@ -82,17 +93,21 @@ class TestCanonicalPath:
             (0, 1, 1, 1),
             (1, 1, 1, 1),
         )
+        assert canonical_path(5, 2) == canonical_path_char0(5, 2) == expected
 
     def test_n2_p3(self):
-        assert canonical_path_char0(2, 3) == ((0,), (1,), (2,))
+        expected = ((0,), (1,), (2,))
+        assert canonical_path(2, 3) == canonical_path_char0(2, 3) == expected
 
     def test_n3_p2(self):
-        assert canonical_path_char0(3, 2) == ((0, 0), (1, 0), (0, 1), (1, 1))
+        expected = ((0, 0), (1, 0), (0, 1), (1, 1))
+        assert canonical_path(3, 2) == canonical_path_char0(3, 2) == expected
 
     def test_length_and_validity(self):
         for n in range(2, 7):
             for p in (2, 3, 5):
-                path = canonical_path_char0(n, p)
+                path = canonical_path(n, p)
+                assert path == canonical_path_char0(n, p)
                 expected = sum((n - j) * (p - 1) for j in range(1, n))
                 assert len(path) - 1 == expected == (p - 1) * (n * n - n) // 2
                 assert path[0] == (0,) * (n - 1)

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 import verify_oracle
 from modmckay import cli, planner
 from modmckay import graph as graph_mod
+from modmckay.char0 import lr_neighbors
 from modmckay.cli import main
 from modmckay.moves import Move
 from modmckay.planner import InvariantViolationError, plan_path
 from modmckay.weights import steinberg_weight
+from planner_oracle import canonical_path_char0
 
 
 def run(capsys, *argv):
@@ -68,6 +70,52 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "moves", "--p", "3", "--weight", "1,0")
         assert code == 0
         assert out.splitlines() == ["add_first -> 2,0", "clear_forward(1) -> 0,1"]
+
+
+def _canonical_renderings(n, p):
+    """canonical-path's text, JSON and DOT, built here from the oracle's
+    waypoints.  Each DOT label is the smallest kind of characteristic-0
+    edge that leads to the next waypoint."""
+    path = canonical_path_char0(n, p)
+    rows = [",".join(map(str, w)) for w in path]
+    payload = {"n": n, "p": p, "length": len(path) - 1, "waypoints": path}
+    labels = [min(k for k, t in lr_neighbors(a) if t == b) for a, b in zip(path, path[1:])]
+    nodes = [f'  "{row}";' for row in dict.fromkeys(rows)]
+    edges = [f'  "{a}" -> "{b}" [label="{k}"];' for a, b, k in zip(rows, rows[1:], labels)]
+    return {
+        "text": "".join(row + "\n" for row in rows),
+        "json": json.dumps(payload, indent=2) + "\n",
+        "dot": "\n".join([f"digraph canonical_n{n}_p{p} {{", *nodes, *edges, "}"]) + "\n",
+    }
+
+
+class TestCanonicalPathCommand:
+    """canonical-path renders the planner's zero-to-Steinberg plan."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_oracle_path(self, capsys, n, p):
+        for fmt, want in _canonical_renderings(n, p).items():
+            code, out, err = run(capsys, "canonical-path", "--n", str(n), "--p", str(p),
+                                 "--format", fmt)
+            assert (code, out, err) == (0, want, "")
+
+    def test_no_path_stays_in_memory(self, tmp_path, capsys):
+        # Nothing is cached per (n, p): a 100,002-move path held as weight
+        # tuples would keep about 9 MB.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for fmt in ("text", "json", "dot"):
+                code = main(["canonical-path", "--n", "2", "--p", "100003", "--format", fmt,
+                             "--output", str(tmp_path / f"canonical.{fmt}")])
+                assert code == 0
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == ("", "")
+        assert kept < 1 << 20
 
 
 class TestPlanCommand:
@@ -319,6 +367,9 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--n", "3", "--p", "3")
         assert code == 1 and err == ""
         assert "FAIL  planner valid, admissible, within bound" in out
+        # The plan from zero to Steinberg, planned whole, is refused for a
+        # length over the bound, or reports one that its waypoints refute.
+        assert "FAIL  canonical path valid, length equals bound" in out
 
     def test_planner_bug_propagates(self, capsys, monkeypatch):
         def broken(b, mu):

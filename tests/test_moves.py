@@ -251,11 +251,11 @@ def test_public_functions_reject_bad_partitions(call, bad):
 _EXPORTED = [
     "BudgetExceededError", "CertifiedGraph", "InvariantViolationError", "Move",
     "NoSuchEdgeError", "PathPlan", "addable_indices", "bfs_distances",
-    "bk_children", "build_certified_graph", "canonical_path_char0",
-    "certified_moves", "char0_distance", "conormal_indices", "f_value",
-    "length_bound", "lr_neighbors", "partition_to_weight", "plan_path",
-    "removable_indices", "steinberg_weight", "subgraph_diameter",
-    "to_scaled_root_coeffs", "validate_move", "weight_to_partition",
+    "bk_children", "build_certified_graph", "certified_moves", "char0_distance",
+    "conormal_indices", "f_value", "length_bound", "lr_neighbors",
+    "partition_to_weight", "plan_path", "removable_indices", "steinberg_weight",
+    "subgraph_diameter", "to_scaled_root_coeffs", "validate_move",
+    "weight_to_partition",
 ]
 _PUBLIC = {
     "weights": [
@@ -263,7 +263,7 @@ _PUBLIC = {
         "parse_weight", "partition_to_weight", "require_restricted",
         "steinberg_weight", "to_scaled_root_coeffs", "weight_to_partition",
     ],
-    "char0": ["canonical_path_char0", "char0_distance", "lr_neighbors"],
+    "char0": ["char0_distance", "lr_neighbors"],
     "conormal": ["addable_indices", "bk_children", "conormal_indices", "removable_indices"],
     "moves": [
         "Move", "NoSuchEdgeError", "certified_moves", "first_nonzero_position",

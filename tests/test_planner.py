@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import planner_oracle
 from graph_oracle import all_pairs_distances
 from modmckay import cli, planner
-from modmckay.char0 import canonical_path_char0
 from modmckay.graph import bfs_distances, build_certified_graph
 from modmckay.moves import (
     CLEAR_FORWARD,
@@ -20,6 +19,7 @@ from modmckay.moves import (
 )
 from modmckay.planner import InvariantViolationError, length_bound, plan_path
 from modmckay.weights import f_value, format_weight, steinberg_weight
+from planner_oracle import canonical_path_char0
 
 
 def all_restricted(n, p):
