@@ -55,7 +55,6 @@ from .graph import (
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
-    subgraph_diameter,
 )
 from .moves import (
     Move,
@@ -538,7 +537,7 @@ def _cmd_bfs(args):
           formats=("text", "json"), needs_n=True)
 def _cmd_diameter(args):
     g = build_certified_graph(args.n, args.p, args.budget)
-    diam, witness = subgraph_diameter(g)
+    diam, witness = graph_mod.subgraph_diameter(g)
     payload = {
         "n": args.n,
         "p": args.p,
@@ -587,24 +586,27 @@ def _cmd_verify(args):
     return payload, {"text": text}, 0 if ok else 1
 
 
-# verify plans every ordered pair of an instance with at most this many
-# vertices, at most this many pairs of a source and a waypoint key
-# (_check_plans; at n = 2 every vertex has its own key) and a distance
-# matrix within graph.DIAMETER_MEMORY_LIMIT, and a seeded sample of pairs
-# otherwise.
+# verify measures the gap figures on every ordered pair of an instance with
+# at most this many vertices whose distance matrix fits within
+# graph.DIAMETER_MEMORY_LIMIT, and on a seeded sample of pairs otherwise.
 _EXHAUSTIVE_VERTICES = 1024
-_EXHAUSTIVE_PREFIXES = 65536
 
 
 def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str, bool]], bool]:
     """A summary, the acceptance checks for a single (n, p) as (name, ok)
-    pairs, and whether all of them passed.  The summary says what was
-    checked: the vertex count, the planner's pair mode ("exhaustive" or
-    "sampled"), the number of pairs planned and the sample's seed (None
-    when exhaustive).  It also says how far the plans are from shortest,
-    over the planned pairs: how many plans are shortest paths, and the
-    worst and mean of plan length minus shortest distance (all three None
-    when the planner check fails).
+    pairs, and whether all of them passed.
+
+    The planner's certified walks give every ordered pair a walk within
+    (p-1)(n^2-n)/2 (_check_plans), so the graph is strongly connected with
+    at most that diameter, and BFS finds d(0,St) equal to it.  Distances
+    only measure the gap figures: over every pair from the distance matrix
+    when it fits, else over sampled pairs from BFS rows, so no check fails
+    for memory.  The summary says what was measured: the vertex count, the
+    pair mode ("exhaustive" or "sampled"), the number of measured pairs,
+    the sample's seed (None when exhaustive), and how far their plans are
+    from shortest: how many are shortest paths, and the worst and mean of
+    plan length minus distance (all three None when the planner check
+    fails).
 
     The verification scope is the certified subgraph: its edges are a
     subset of the true McKay graph's, and the extremal distance from zero
@@ -630,24 +632,17 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
         )
     )
 
-    try:
-        diam, _ = subgraph_diameter(g)
-        connected = True
-    except BudgetExceededError:
-        diam, connected = None, False
-    checks.append(("strongly connected", connected))
-    checks.append(("diameter equals (p-1)(n^2-n)/2", diam == bound))
-
-    # The planned pairs, as each source's vertex index mapped to the
-    # indices of its targets.
+    # The gap-measured pairs, as each source's vertex index mapped to the
+    # indices of its targets, and each source's distances to them.
     size = len(g.vertices)
+    zero_row = bfs_distances(g, zero)
     if (
         size <= _EXHAUSTIVE_VERTICES
-        and size * len({_waypoint_key(w, p) for w in g.vertices}) <= _EXHAUSTIVE_PREFIXES
         and _mask_bytes(size, (size - 1).bit_length()) <= graph_mod.DIAMETER_MEMORY_LIMIT
     ):
         everyone = range(size)
         pairs = dict.fromkeys(everyone, everyone)
+        rows = _distance_rows(g)
         mode, seed = "exhaustive", None
     else:
         seed = 20260811
@@ -656,6 +651,13 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
         pairs = {}
         for a, b in sample + [(zero, st)]:
             pairs.setdefault(g.index_of(a), []).append(g.index_of(b))
+
+        def bfs_row(i: int) -> list[int | None]:
+            # Zero, vertex 0 in lexicographic order, has its row already.
+            row = zero_row if i == 0 else bfs_distances(g, g.vertices[i])
+            return [row[j] for j in pairs[i]]
+
+        rows = map(bfs_row, sorted(pairs))
         mode = "sampled"
     summary = {
         "vertices": size,
@@ -663,8 +665,12 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
         "pairs": sum(len(js) for js in pairs.values()),
         "seed": seed,
     }
-    zero_row = bfs_distances(g, zero)
-    checks.append(("d(0,St) equals the bound", zero_row[g.index_of(st)] == bound))
+    longest, planner_ok, equality_ok, gaps = _check_plans(g, pairs, rows)
+    summary.update(gaps)
+    reaches = zero_row[g.index_of(st)] == bound
+    checks.append(("strongly connected", longest is not None))
+    checks.append(("diameter equals (p-1)(n^2-n)/2", planner_ok and reaches))
+    checks.append(("d(0,St) equals the bound", reaches))
 
     # The planner's blocks, stepped move by move through the certified
     # edges: a certified move leads from a p-restricted weight to one, and
@@ -696,19 +702,8 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     checks.append(("index 1 and 1+a_1 conormal at every vertex", conormal_ok))
     checks.append(("every certified move certified via conormal", certify_ok))
 
-    if seed is None:
-        rows = _distance_rows(g)
-    else:
-        def bfs_row(i: int, js: list[int]) -> list[int | None]:
-            # Zero, vertex 0 in lexicographic order, has its row already.
-            row = zero_row if i == 0 else bfs_distances(g, g.vertices[i])
-            return [row[j] for j in js]
-
-        rows = map(bfs_row, pairs, pairs.values())
-    planner_ok, equality_ok, gaps = _check_plans(g, pairs, rows)
     checks.append(("planner valid, admissible, within bound", planner_ok))
     checks.append(("plan(0,St) meets the bound exactly", equality_ok))
-    summary.update(gaps)
 
     if bound <= 12:
         checks.append(
@@ -732,74 +727,64 @@ def _walk(start: Weight, p: int, walk: Callable, *args) -> tuple[int | None, Wei
     return b.length, tuple(b.cur)
 
 
-def _own(js, i: int) -> list[int]:
-    """The places of source i among its targets ``js``, a range or a
-    list: its plan to itself is the empty one."""
-    if type(js) is range:
-        return [js.index(i)] if i in js else []
-    return [k for k, j in enumerate(js) if j == i]
-
-
-def _check_plans(g, pairs: dict, rows) -> tuple[bool, bool, dict]:
-    """Whether the plan of every pair in ``pairs`` (source index -> target
-    indices) is a certified walk within the bound and no shorter than its
-    distance (``rows`` yields each source's distances to its targets, in
-    the order of ``pairs``); whether plan(0,St) meets the bound; and the
-    gap figures.
+def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
+    """The longest plan over every ordered pair lam != mu, or None when
+    some walk is not certified; whether every such plan is within the
+    bound and each plan of a pair in ``pairs`` (source index -> target
+    indices) no shorter than its distance (``rows`` yields the distances
+    of each source to its targets, in the order of the sources); whether
+    plan(0,St) meets the bound; and the gap figures over ``pairs``.
 
     Nothing is planned pair by pair.  The plan from lam to mu != lam is
     the sweep of its route (planner._route, planner._sweep), the finish
     on to K(key(mu)) (planner._after_sweep), then the suffix K(mu) -> mu
     (planner._from_waypoint).  So each source walks each of its distinct
     sweeps once, each finish is walked once per (ell(lam), swept weight,
-    key) and each suffix once per target, each certified block by block
+    key) and each suffix once per vertex, each certified block by block
     and checked to end where it must: two walks, the second starting
-    where the first ends, make a walk.  A source's plan lengths are its
-    heads by key plus the suffixes, and its gaps those minus its
-    distances, each list checked whole.
+    where the first ends, make a walk.  Each key keeps its two longest
+    suffixes, so a source's longest plan is its longest head plus the
+    longest suffix in the head's key to another vertex: O(keys) per
+    source.  A source's plan lengths are its heads by key plus the
+    suffixes, and its gaps those minus its distances, each list checked
+    whole.
     """
     from operator import add, sub
     n, p, vertices = g.n, g.p, g.vertices
     bound = length_bound(n, p)
-    keys: dict[tuple, int] = {}  # key -> its number
-    known: list[tuple[tuple, Weight]] = []  # (key, K) by number
-    suffixes: dict[int, tuple[int, int | None]] = {}  # target -> (key number, length)
+    numbers: dict[tuple, int] = {}  # key -> its number
+    kids = [numbers.setdefault(_waypoint_key(mu, p), len(numbers)) for mu in vertices]
+    keys = list(numbers)
+    waypoints = [_waypoint(key, n, p) for key in keys]
+    tails: list[int | None] = []
+    population = [0] * len(keys)
+    best = [[(-1, -1)] * 2 for _ in keys]  # per key: its two longest (suffix, target)
+    for j, (mu, c) in enumerate(zip(vertices, kids)):
+        length, end = _walk(waypoints[c], p, _from_waypoint, mu)
+        tails.append(length if end == mu else None)
+        population[c] += 1
+        if end == mu:
+            best[c] = sorted([*best[c], (length, j)])[1:]
+    certified = None not in tails
+    first = [top for _, (top, _) in best]
+    # The longest suffix in a vertex's key to another vertex: the key's
+    # longest, best[c][1], unless it is the vertex's own.
+    other = [best[c][best[c][1][1] != j][0] for j, c in enumerate(kids)]
 
-    def suffix(j: int) -> tuple[int, int | None]:
-        got = suffixes.get(j)
-        if got is None:
-            mu = vertices[j]
-            key = _waypoint_key(mu, p)
-            c = keys.setdefault(key, len(keys))
-            if c == len(known):
-                known.append((key, _waypoint(key, n, p)))
-            length, end = _walk(known[c][1], p, _from_waypoint, mu)
-            got = suffixes[j] = c, length if end == mu else None
-        return got
-
+    routes: dict[int, list] = {}  # ell(lam) -> [(key number, key, K, route)]
     finishes: dict[tuple, int | None] = {}  # (ell(lam), swept weight, key number) -> length
-    shared = None
     ok = True
-    optimal = worst = total = 0
-    for (i, js), row in zip(pairs.items(), rows):
-        if js is not shared:  # exhaustive: every source has the same targets
-            shared = js
-            kids, tails = map(list, zip(*map(suffix, js)))
-            population = {c: kids.count(c) for c in set(kids)}
-            routes: dict[int, list] = {}  # ell(lam) -> [(key number, key, K, route)]
-        own = _own(js, i)
-        # A key that only the source itself has needs no head.
-        alone = suffix(i)[0] if own else None
-        if own and population[alone] > len(own):
-            alone = None
-        lam = vertices[i]
+    longest = optimal = worst = total = 0
+    for i, lam in enumerate(vertices):
         l_lam = _ell(lam, p)
         if l_lam not in routes:
-            routes[l_lam] = [(c, *known[c], _route(l_lam, known[c][0], n)) for c in population]
+            routes[l_lam] = [(c, k, waypoints[c], _route(l_lam, k, n)) for c, k in enumerate(keys)]
+        own = kids[i]
+        alone = population[own] == 1  # then the source's own key needs no head
         sweeps: dict[tuple, tuple] = {}
-        heads: dict[int, int | None] = {}
+        heads: list[int | None] = [0] * len(keys)
         for c, key, waypoint, route in routes[l_lam]:
-            if c == alone:
+            if c == own and alone:
                 continue
             sweep = sweeps.get(route)
             if sweep is None:
@@ -818,29 +803,42 @@ def _check_plans(g, pairs: dict, rows) -> tuple[bool, bool, dict]:
             heads[c] = None if finish is None else length + finish
         if i == 0:
             from_zero = heads
+        if not certified or None in heads:
+            certified = False
+            break
+        farthest = list(map(add, heads, first))
+        farthest[own] = 0 if alone else heads[own] + other[i]
+        longest = max(longest, *farthest)
+        if i not in pairs:
+            continue
+        js, row = pairs[i], next(rows)
+        if type(js) is range:  # every vertex, in order
+            ks, ts, selves = kids, tails, [i]
+        else:
+            ks, ts = map(kids.__getitem__, js), map(tails.__getitem__, js)
+            selves = [k for k, j in enumerate(js) if j == i]
+        lengths = list(map(add, map(heads.__getitem__, ks), ts))
+        for k in selves:  # the plan to itself is the empty one
+            lengths[k] = 0
         # A certified walk reaches its target, so the distance must too.
-        if None in heads.values() or None in tails or None in row:
+        if None in row:
             ok = False
             continue
-        lengths = list(map(add, map(heads.get, kids, repeat(0)), tails))
-        for k in own:
-            lengths[k] = 0
         gaps = list(map(sub, lengths, row))
-        if min(gaps) < 0 or max(lengths) > bound:
-            ok = False
+        ok = ok and min(gaps) >= 0
         optimal += gaps.count(0)
-        worst = max(worst, max(gaps))
+        worst = max(worst, *gaps)
         total += sum(gaps)
 
-    # Vertices are in lexicographic order: zero first, Steinberg last, and
-    # (zero, Steinberg) is a planned pair, so both halves were walked.
-    c, tail = suffix(len(vertices) - 1)
-    head = from_zero[c]
+    # Vertices are in lexicographic order: zero first, Steinberg last.
+    head, tail = from_zero[kids[-1]], tails[-1]
     exact = head is not None and tail is not None and head + tail == bound
+    ok = ok and certified and longest <= bound
+    longest = longest if certified else None
     if not ok:
-        return ok, exact, dict.fromkeys(("optimal_pairs", "worst_gap", "mean_gap"))
+        return longest, ok, exact, dict.fromkeys(("optimal_pairs", "worst_gap", "mean_gap"))
     count = sum(len(js) for js in pairs.values())
-    return ok, exact, {
+    return longest, ok, exact, {
         "optimal_pairs": optimal,
         "worst_gap": worst,
         "mean_gap": round(total / count, 4),

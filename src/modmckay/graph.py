@@ -19,10 +19,10 @@ two generations of V-bit masks take 2 * V^2 / 8 bytes, and each of the
 matrix's bit_length(V - 1) bit planes V^2 / 8 more.  Above
 DIAMETER_MEMORY_LIMIT (1 GiB: about 65,000 vertices for the diameter,
 22,000 for the matrix) the traversal is refused with BudgetExceededError
-before anything is allocated.  When ``verify`` plans every ordered
-pair, it reads each source's distances from the matrix's lanes too.
-Per-source BFS serves single rows: ``bfs --from``, d(0, St) in
-``verify``, and the distances of the pairs ``verify`` samples.
+before anything is allocated.  ``verify`` proves the diameter from the
+planner's walks instead, and reads the matrix's lanes only to measure
+its gap figures on every pair.  Per-source BFS serves single rows:
+``bfs --from``, d(0, St) in ``verify``, and the pairs it samples.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_oracle
 import verify_oracle
 from modmckay import cli, planner
 from modmckay import graph as graph_mod
@@ -215,9 +216,7 @@ class TestVerifyCommand:
             "verify n=3 p=37: 1369 vertices, planner checked on 300 sampled pairs "
             "(seed 20260811) plus (0,St)"
         )
-        # The JSON carries the same scope.  At n = 2 every vertex has its own
-        # waypoint key, so 251 vertices walk 63,001 prefixes, within the limit
-        # of 65,536, and 509 vertices would walk 259,081: those are sampled.
+        # The JSON carries the same scope.
         scopes = []
         for n, p in (("3", "2"), ("3", "37"), ("2", "251"), ("2", "509")):
             _, out, _ = run(capsys, "verify", "--n", n, "--p", p, "--format", "json")
@@ -229,7 +228,7 @@ class TestVerifyCommand:
             (4, "exhaustive", 16, None, True),
             (1369, "sampled", 301, 20260811, True),
             (251, "exhaustive", 63001, None, True),
-            (509, "sampled", 301, 20260811, True),
+            (509, "exhaustive", 259081, None, True),
         ]
 
     @pytest.mark.parametrize("limit, mode", [(9, "exhaustive"), (8, "sampled")])
@@ -285,22 +284,47 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("piece", ["_sweep", "_after_sweep"])
     def test_a_wrong_sweep_or_finish_fails_the_planner_line(self, capsys, monkeypatch, piece):
-        # One add_first too many after the piece: from a swept weight the
-        # finish no longer reaches K, and a finish ends one move past K.
-        # From zero to Steinberg the walk takes both pieces, so plan(0,St)
-        # fails too.
-        real = getattr(cli, piece)
+        overshooting_verify(capsys, monkeypatch, piece, "4", "3")
 
-        def overshooting(b, *args):
-            real(b, *args)
-            b.run(planner._TRAVEL, 1)
+    @pytest.mark.parametrize("piece", ["_sweep", "_after_sweep"])
+    def test_a_wrong_sweep_or_finish_fails_the_sampled_planner_line(
+        self, capsys, monkeypatch, piece
+    ):
+        overshooting_verify(capsys, monkeypatch, piece, "3", "37")
 
-        monkeypatch.setattr(cli, piece, overshooting)
-        code, out, err = run(capsys, "verify", "--n", "4", "--p", "3")
+    def test_an_overlong_unsampled_suffix_fails_planner_and_diameter(self, capsys, monkeypatch):
+        # At 1,369 vertices 300 pairs are sampled, but every target's suffix
+        # is walked.  One target outside the sample, with a nonzero first
+        # entry, gets (p-1)(n^2-n)/2 more add_first moves: still a certified
+        # walk that ends at it, but every plan to it overruns the bound.
+        seen = []
+        real_check = cli._check_plans
+
+        def spy(g, pairs, rows):
+            seen.append((g, pairs))
+            return real_check(g, pairs, rows)
+
+        monkeypatch.setattr(cli, "_check_plans", spy)
+        assert run(capsys, "verify", "--n", "3", "--p", "37")[0] == 0
+        [(g, pairs)] = seen
+        sampled = {j for js in pairs.values() for j in js}
+        target = next(w for j, w in enumerate(g.vertices) if j not in sampled and w[0])
+        real = cli._from_waypoint
+
+        def overlong(b, mu):
+            real(b, mu)
+            if mu == target:
+                b.run(planner._TRAVEL, 1, planner.length_bound(3, 37))
+
+        monkeypatch.setattr(cli, "_from_waypoint", overlong)
+        code, out, err = run(capsys, "verify", "--n", "3", "--p", "37")
         assert code == 1 and err == ""
-        assert "FAIL  planner valid, admissible, within bound" in out
-        assert "FAIL  plan(0,St) meets the bound exactly" in out
-        assert out.endswith("some checks FAILED\n")
+        failed = [line[6:].rstrip() for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == [
+            "diameter equals (p-1)(n^2-n)/2",
+            "planner valid, admissible, within bound",
+        ]
+        assert "PASS  strongly connected" in out
 
     def test_one_bfs_and_one_route_one_sweep_per_source(self, capsys, monkeypatch):
         # Every pair is planned: the distances come from the matrix, and BFS
@@ -354,22 +378,15 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("factor", [0, 10])
     def test_a_miscounted_length_fails_the_planner_line(self, capsys, monkeypatch, factor):
-        # Walks of length 0 undercut the BFS distance; ten times their
-        # length, the longest overruns the bound.
-        real = planner._Builder.run
+        miscounted_verify(capsys, monkeypatch, factor, "3", "3")
 
-        def miscounting(b, kind, at, k=1):
-            before = b.length
-            real(b, kind, at, k)
-            b.length = before + factor * (b.length - before)
-
-        monkeypatch.setattr(planner._Builder, "run", miscounting)
-        code, out, err = run(capsys, "verify", "--n", "3", "--p", "3")
-        assert code == 1 and err == ""
-        assert "FAIL  planner valid, admissible, within bound" in out
-        # The plan from zero to Steinberg, planned whole, is refused for a
-        # length over the bound, or reports one that its waypoints refute.
-        assert "FAIL  canonical path valid, length equals bound" in out
+    @pytest.mark.parametrize("factor", [0, 10])
+    def test_a_miscounted_length_fails_the_sampled_planner_line(
+        self, capsys, monkeypatch, factor
+    ):
+        # 1,369 vertices: the sampled pairs undercut their BFS distances,
+        # and the certificate over every pair overruns the bound.
+        miscounted_verify(capsys, monkeypatch, factor, "3", "37")
 
     def test_planner_bug_propagates(self, capsys, monkeypatch):
         def broken(b, mu):
@@ -379,15 +396,14 @@ class TestVerifyCommand:
         with pytest.raises(RuntimeError, match="planner bug"):
             main(["verify", "--n", "2", "--p", "3"])
 
-    def test_refused_diameter_fails_both_checks(self, capsys, monkeypatch):
+    def test_a_memory_limit_is_never_a_fail(self, capsys, monkeypatch):
+        # No distance matrix fits in one byte: the gap figures come from a
+        # sample, and the walks still prove connectivity and the diameter.
         monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 1)
-        code, out, _ = run(capsys, "verify", "--n", "3", "--p", "2")
-        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert code == 1
-        assert [line.split(None, 1)[1].strip() for line in failed] == [
-            "strongly connected",
-            "diameter equals (p-1)(n^2-n)/2",
-        ]
+        code, out, _ = run(capsys, "verify", "--n", "3", "--p", "2", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True and payload["pair_mode"] == "sampled"
+        assert all(check["ok"] for check in payload["checks"])
 
     def test_bfs_rows_only_from_planned_sources(self, capsys, monkeypatch):
         sources = []
@@ -404,9 +420,53 @@ class TestVerifyCommand:
         assert (0, 0) in sources
 
 
+def miscount(monkeypatch, factor):
+    """Count every certified run ``factor`` times its length: walks of
+    length 0 undercut the BFS distance; ten times their length, the
+    longest overruns the bound."""
+    real = planner._Builder.run
+
+    def miscounting(b, kind, at, k=1):
+        before = b.length
+        real(b, kind, at, k)
+        b.length = before + factor * (b.length - before)
+
+    monkeypatch.setattr(planner._Builder, "run", miscounting)
+
+
+def miscounted_verify(capsys, monkeypatch, factor, n, p):
+    miscount(monkeypatch, factor)
+    code, out, err = run(capsys, "verify", "--n", n, "--p", p)
+    assert code == 1 and err == ""
+    assert "FAIL  planner valid, admissible, within bound" in out
+    # The plan from zero to Steinberg, planned whole, is refused for a
+    # length over the bound, or reports one that its waypoints refute.
+    assert "FAIL  canonical path valid, length equals bound" in out
+
+
+def overshooting_verify(capsys, monkeypatch, piece, n, p):
+    """Verify at (n, p) with one add_first too many after ``piece``: from a
+    swept weight the finish no longer reaches K, and a finish ends one move
+    past K.  From zero to Steinberg the walk takes both pieces, so
+    plan(0,St) fails too."""
+    real = getattr(cli, piece)
+
+    def overshooting(b, *args):
+        real(b, *args)
+        b.run(planner._TRAVEL, 1)
+
+    monkeypatch.setattr(cli, piece, overshooting)
+    code, out, err = run(capsys, "verify", "--n", n, "--p", p)
+    assert code == 1 and err == ""
+    assert "FAIL  planner valid, admissible, within bound" in out
+    assert "FAIL  plan(0,St) meets the bound exactly" in out
+    assert out.endswith("some checks FAILED\n")
+
+
 def checked_against_oracle(monkeypatch, n, p):
     """Run verify at (n, p) and compare its planner check with the
-    per-pair loop over BFS rows on the same pairs; return the pair mode."""
+    per-pair loop over every ordered pair, its gaps over the same pairs;
+    return the summary, the checks by name and the graph."""
     seen = []
     real = cli._check_plans
 
@@ -415,10 +475,14 @@ def checked_against_oracle(monkeypatch, n, p):
         return seen[-1][2]
 
     monkeypatch.setattr(cli, "_check_plans", spy)
-    summary, _, _ = cli.run_verification(n, p, 10**6)
+    summary, checks, _ = cli.run_verification(n, p, 10**6)
     [(g, pairs, got)] = seen
     assert got == verify_oracle.check_plans(g, pairs)
-    return summary["pair_mode"]
+    return summary, dict(checks), g
+
+
+_CONNECTED, _DIAMETER = "strongly connected", "diameter equals (p-1)(n^2-n)/2"
+_PLANNER = "planner valid, admissible, within bound"
 
 
 _ORACLE_INSTANCES = [
@@ -427,32 +491,57 @@ _ORACLE_INSTANCES = [
 
 
 class TestPlannerCheckOracle:
-    """cli._check_plans, from shared sweeps and matrix rows, against the
-    per-pair loop it replaced (tests/verify_oracle.py): the same ok, the
-    same plan(0,St) answer and the same gap figures."""
+    """cli._check_plans, from shared sweeps, each key's longest suffixes and
+    matrix rows, against the per-pair loop it replaced
+    (tests/verify_oracle.py): the same longest plan, the same ok, the same
+    plan(0,St) answer and the same gap figures."""
 
     @pytest.mark.parametrize("n, p", _ORACLE_INSTANCES)
     def test_every_exhaustive_instance(self, monkeypatch, n, p):
-        assert checked_against_oracle(monkeypatch, n, p) == "exhaustive"
+        summary, checks, g = checked_against_oracle(monkeypatch, n, p)
+        assert summary["pair_mode"] == "exhaustive"
+        # The certificate's verdicts against the bit-parallel traversal.
+        traversed = graph_mod.subgraph_diameter(g)[0] == planner.length_bound(n, p)
+        assert checks[_CONNECTED] == checks[_DIAMETER] == traversed
 
-    def test_n2_at_the_prefix_limit(self, monkeypatch):
-        assert checked_against_oracle(monkeypatch, 2, 251) == "exhaustive"
+    def test_n2_with_a_key_per_vertex(self, monkeypatch):
+        summary, _, _ = checked_against_oracle(monkeypatch, 2, 251)
+        assert summary["pair_mode"] == "exhaustive"
 
     def test_sampled_pairs(self, monkeypatch):
-        assert checked_against_oracle(monkeypatch, 3, 37) == "sampled"
+        summary, _, _ = checked_against_oracle(monkeypatch, 3, 37)
+        assert summary["pair_mode"] == "sampled"
+
+    @pytest.mark.parametrize("n, p", [(4, 3), (4, 5)])
+    def test_sampled_certificate_covers_every_pair(self, monkeypatch, n, p):
+        # Below the vertex limit the pairs are sampled, and the verdicts and
+        # the longest plan are still those of every ordered pair.
+        monkeypatch.setattr(cli, "_EXHAUSTIVE_VERTICES", 8)
+        summary, checks, g = checked_against_oracle(monkeypatch, n, p)
+        assert summary["pair_mode"] == "sampled"
+        everyone = range(len(g.vertices))
+        longest, ok, _, _ = verify_oracle.check_plans(g, dict.fromkeys(everyone, everyone))
+        diameter = max(max(row) for row in graph_oracle.all_pairs_distances(g))
+        bound = planner.length_bound(n, p)
+        assert longest == bound
+        assert checks[_PLANNER] is ok is True
+        assert checks[_DIAMETER] is (ok and diameter == bound) is True
 
     @pytest.mark.parametrize("factor", [0, 10])
     @pytest.mark.parametrize("n, p", [(3, 3), (4, 5)])
     def test_miscounted_lengths(self, monkeypatch, factor, n, p):
-        real = planner._Builder.run
+        miscounted_against_oracle(monkeypatch, factor, n, p)
 
-        def miscounting(b, kind, at, k=1):
-            before = b.length
-            real(b, kind, at, k)
-            b.length = before + factor * (b.length - before)
+    @pytest.mark.parametrize("factor", [0, 10])
+    def test_miscounted_sampled_lengths(self, monkeypatch, factor):
+        monkeypatch.setattr(cli, "_EXHAUSTIVE_VERTICES", 8)
+        miscounted_against_oracle(monkeypatch, factor, 4, 3)
 
-        monkeypatch.setattr(planner._Builder, "run", miscounting)
-        checked_against_oracle(monkeypatch, n, p)
+
+def miscounted_against_oracle(monkeypatch, factor, n, p):
+    miscount(monkeypatch, factor)
+    _, checks, _ = checked_against_oracle(monkeypatch, n, p)
+    assert not checks[_PLANNER] and not checks[_DIAMETER]
 
 
 class TestErrorHandling:
