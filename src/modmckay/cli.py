@@ -46,6 +46,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import graph as graph_mod
+from . import planner as planner_mod
 from .char0 import _A, _b, char0_distance, lr_neighbors
 from .conormal import _rows, addable_indices, conormal_indices, removable_indices
 from .graph import (
@@ -60,6 +61,7 @@ from .moves import (
     Move,
     NoSuchEdgeError,
     _certify,
+    _rep,
     _successors,
     certified_moves,
     first_nonzero_position,
@@ -727,6 +729,29 @@ def _walk(start: Weight, p: int, walk: Callable, *args) -> tuple[int | None, Wei
     return b.length, tuple(b.cur)
 
 
+def _swept(lam: Weight, p: int, route: tuple, walks: dict) -> tuple[int | None, Weight | None]:
+    """The length and the end of the sweep of ``route`` from lam, or two
+    Nones when it is not certified.  A sweep reads lam only through lam0
+    and the entries before its stop, and only adds a carry c to the entry
+    at stop (planner._sweep).  So it is walked once per (stop, lam0,
+    lam[:stop-1]), kept in ``walks``, from those entries and then zeros,
+    where its entry at stop ends as c.  lam0 is computed through
+    planner._lambda_zero, as plan_path computes it."""
+    upto, r, stop = route
+    lam0 = planner_mod._lambda_zero(lam, upto, r, p)
+    low = lam[: stop - 1]
+    key = stop, lam0, low
+    walk = walks.get(key)
+    if walk is None:
+        start = low + (0,) * (len(lam) - len(low))
+        walk = walks[key] = _walk(start, p, _sweep, lam0, stop)
+    length, end = walk
+    if end is None or stop > len(lam):  # not certified, or nothing above stop
+        return walk
+    c, entry = end[stop - 1], lam[stop - 1]
+    return length, end[: stop - 1] + (_rep(entry + c, p) if c else entry,) + lam[stop:]
+
+
 def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
     """The longest plan over every ordered pair lam != mu, or None when
     some walk is not certified; whether every such plan is within the
@@ -738,8 +763,8 @@ def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
     Nothing is planned pair by pair.  The plan from lam to mu != lam is
     the sweep of its route (planner._route, planner._sweep), the finish
     on to K(key(mu)) (planner._after_sweep), then the suffix K(mu) -> mu
-    (planner._from_waypoint).  So each source walks each of its distinct
-    sweeps once, each finish is walked once per (ell(lam), swept weight,
+    (planner._from_waypoint).  So each distinct sweep is walked once for
+    all sources (_swept), each finish once per (ell(lam), swept weight,
     key) and each suffix once per vertex, each certified block by block
     and checked to end where it must: two walks, the second starting
     where the first ends, make a walk.  Each key keeps its two longest
@@ -772,6 +797,7 @@ def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
     other = [best[c][best[c][1][1] != j][0] for j, c in enumerate(kids)]
 
     routes: dict[int, list] = {}  # ell(lam) -> [(key number, key, K, route)]
+    walks: dict[tuple, tuple] = {}  # (stop, lam0, lam[:stop-1]) -> sweep (length, end)
     finishes: dict[tuple, int | None] = {}  # (ell(lam), swept weight, key number) -> length
     ok = True
     longest = optimal = worst = total = 0
@@ -788,7 +814,7 @@ def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
                 continue
             sweep = sweeps.get(route)
             if sweep is None:
-                sweep = sweeps[route] = _walk(lam, p, _sweep, lam, *route)
+                sweep = sweeps[route] = _swept(lam, p, route, walks)
             length, swept = sweep
             if length is None:
                 heads[c] = None

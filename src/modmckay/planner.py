@@ -42,8 +42,10 @@ walk on from K(mu) reads nothing of lam.  Each route is a sweep, a run
 of add_first and then clear_forward runs until the entries below a stop
 are zero, followed by a finish from the swept weight: fills, clear_last
 or one clear_forward run.  The first route's sweep reads nothing of the
-key, and a finish reads nothing of lam but ell(lam).  So ``verify``
-certifies each distinct sweep once per source, each finish once per
+key, and a finish reads nothing of lam but ell(lam).  A sweep reads lam
+only through the entries below its stop and the residue it adds at the
+front, and only adds a carry to the entry at its stop.  So ``verify``
+certifies each distinct sweep once for all sources, each finish once per
 (ell(lam), swept weight, key) and one suffix per target, instead of a
 plan per pair.  The canonical path itself is such a walk: its stage j is
 travel(n-j) x (p-1), so from zero the planner reaches K(mu) by the same
@@ -361,13 +363,15 @@ def _to_waypoint(b: _Builder, lam: Weight, key: tuple[int, int | None, bool]) ->
     with this key, by the route that ell(lam) and the key select: the
     route's sweep, then the finish from the swept weight."""
     l_lam = _ell(lam, b.p)
-    _sweep(b, lam, *_route(l_lam, key, len(lam) + 1))
+    upto, r, stop = _route(l_lam, key, len(lam) + 1)
+    _sweep(b, _lambda_zero(lam, upto, r, b.p), stop)
     _after_sweep(b, l_lam, key)
 
 
 def _route(l_lam: int, key: tuple[int, int | None, bool], n: int) -> tuple[int, int, int]:
     """The sweep of the route from a source with ell(lam) = ``l_lam`` to K
-    of ``key``, as the arguments (upto, r, stop) of _sweep."""
+    of ``key``, as (upto, r, stop): it adds _lambda_zero(lam, upto, r) at
+    the front and clears every position before ``stop``."""
     l_mu, entry, ends_in_zero = key
     if l_lam > l_mu:
         # Zero out everything below ell(lam); the congruence makes the
@@ -384,10 +388,12 @@ def _route(l_lam: int, key: tuple[int, int | None, bool], n: int) -> tuple[int, 
     return l_mu, entry, l_mu
 
 
-def _sweep(b: _Builder, lam: Weight, upto: int, r: int, stop: int) -> None:
-    """Add _lambda_zero(lam, upto, r) at the front, then clear forward
-    until every position before ``stop`` is zero."""
-    b.run(_TRAVEL, 1, _lambda_zero(lam, upto, r, b.p))
+def _sweep(b: _Builder, lam0: int, stop: int) -> None:
+    """Add ``lam0`` at the front, then clear forward until every position
+    before ``stop`` is zero.  Its blocks read nothing but lam0, the
+    entries before ``stop`` and n, and only the last of them writes entry
+    ``stop``, adding the carry to it."""
+    b.run(_TRAVEL, 1, lam0)
     b.sweep_below(stop)
 
 

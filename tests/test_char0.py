@@ -4,7 +4,11 @@ from collections import deque
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import char0_oracle
+from modmckay import char0
 from modmckay.char0 import char0_distance, lr_neighbors
 from modmckay.planner import plan_path
 from modmckay.weights import (
@@ -59,14 +63,27 @@ class TestLrNeighbors:
             assert lr_neighbors(w) == box_add_oracle(w)
 
     def test_f_delta_law(self):
-        # a and b edges raise f by 1; c edges drop it by n-1
+        # a and b edges raise f by 1; c edges drop it by n-1, and the
+        # kernel carries that change with each edge.
         rng = random.Random(202)
-        for _ in range(500):
-            n = rng.randrange(2, 9)
+        for _ in range(1000):
+            n = rng.randrange(2, 13)
             w = random_weight(rng, n)
-            for kind, nb in lr_neighbors(w):
+            for kind, nb, carried in char0._neighbors(w):
                 delta = f_value(nb) - f_value(w)
-                assert delta == (-(n - 1) if kind == "c" else 1)
+                assert delta == carried == (-(n - 1) if kind == "c" else 1)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_kernel_lists_edges_in_label_order(self, n):
+        # At n = 12 "b(10)" sorts before "b(2)": string order, not numeric.
+        rng = random.Random(204 + n)
+        for _ in range(300):
+            w = random_weight(rng, n, cap=3)
+            listed = [(kind, nb) for kind, nb, _ in char0._neighbors(w)]
+            assert listed == sorted(lr_neighbors(w)) == sorted(char0_oracle._neighbors(w))
+        labels = [kind for kind, _, _ in char0._neighbors((1,) * (n - 1))]
+        assert labels == sorted(labels) and len(labels) == n
+        assert labels[:3] == (["a", "b(1)", "b(10)"] if n == 12 else ["a", "b(1)", "b(2)"])
 
 
 def canonical_path(n, p):
@@ -170,3 +187,92 @@ class TestChar0Distance:
             candidates = sorted(table)[:10]
             for tgt in candidates:
                 assert char0_distance(src, tgt, cutoff) == table[tgt]
+
+
+def expansions(monkeypatch, module):
+    """The weights that ``module``'s search expands, in order, recorded by
+    wrapping its neighbour kernel."""
+    seen = []
+    real = module._neighbors
+
+    def counting(w):
+        seen.append(w)
+        return real(w)
+
+    monkeypatch.setattr(module, "_neighbors", counting)
+    return seen
+
+
+def assert_matches_oracle(cases):
+    """char0_distance returns the oracle's answer and expands the same
+    weights in the same order, case by case."""
+    with pytest.MonkeyPatch.context() as m:
+        new, old = expansions(m, char0), expansions(m, char0_oracle)
+        for src, tgt, budget in cases:
+            del new[:], old[:]
+            got = char0_distance(src, tgt, budget)
+            assert got == char0_oracle.char0_distance(src, tgt, budget), (src, tgt, budget)
+            assert new == old, (src, tgt, budget)
+
+
+def bench_char0_cases(seed):
+    """(src, tgt, budget) of every char0-dist call that the benchmark's
+    char0-search workload makes for ``seed``, rebuilt from its generator."""
+    import importlib
+    import pathlib
+
+    bench = str(pathlib.Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    cases = []
+    for op in workloads.make("char0-search", seed):
+        arg = dict(zip(op.argv[1::2], op.argv[2::2]))
+        ends = (tuple(map(int, arg[k].split(","))) for k in ("--from", "--to"))
+        cases.append((*ends, int(arg["--budget"])))
+    return cases
+
+
+class TestSearchAgainstOracle:
+    """The search that carries f on its stack against the search that
+    recomputed it and sorted a set of neighbours at every expansion."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_benchmark_call(self, seed):
+        cases = bench_char0_cases(seed)
+        assert len(cases) > 200 and ((0,), (1200,), 1300) in cases
+        assert_matches_oracle(cases)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_pairs(self, data):
+        # Targets a few edges from the source, and budgets on both sides
+        # of the distance, so some searches return None.
+        n = data.draw(st.integers(2, 12), label="n")
+        src = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1)))
+        tgt = src
+        for _ in range(data.draw(st.integers(0, 5), label="steps")):
+            tgt = data.draw(st.sampled_from(sorted(lr_neighbors(tgt))))[1]
+        budget = data.draw(st.integers(0, 6), label="budget")
+        assert_matches_oracle([(src, tgt, budget)])
+
+    def test_budgets_that_return_none(self):
+        cases = [((0, 0), (2, 2), 3), ((0,), (5,), 4), ((1, 0, 2), (0, 3, 1), 2),
+                 ((0,) * 11, (1,) * 11, 20)]
+        assert_matches_oracle(cases)
+        assert [char0_distance(*case) for case in cases] == [None] * 4
+
+    def test_expansion_counts(self, monkeypatch):
+        # The n = 2 line graph to depth 1,200 expands each weight on the
+        # way once; the (2,2) target from zero takes a second threshold.
+        counts = []
+        for src, tgt, budget in [((0,), (1200,), 1300), ((0, 0), (2, 2), 10)]:
+            for module in (char0, char0_oracle):
+                with monkeypatch.context() as m:
+                    seen = expansions(m, module)
+                    module.char0_distance(src, tgt, budget)
+                counts.append(len(seen))
+        assert counts[0] == counts[1] == 1200
+        assert counts[2] == counts[3] > 6

@@ -326,10 +326,12 @@ class TestVerifyCommand:
         ]
         assert "PASS  strongly connected" in out
 
-    def test_one_bfs_and_one_route_one_sweep_per_source(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("n, p", [(4, 3), (2, 251)])
+    def test_one_bfs_and_as_many_sweep_walks_as_vertices(self, capsys, monkeypatch, n, p):
         # Every pair is planned: the distances come from the matrix, and BFS
-        # runs once, for d(0,St).  Each source walks each of its distinct
-        # sweeps once, among them the one its route-1 keys share.
+        # runs once, for d(0,St).  Each distinct sweep is walked once for
+        # every source, from the entries below its stop and then zeros; on
+        # these instances that makes one walk per vertex.
         sources, sweeps = [], []
         real_bfs, real_sweep = cli.bfs_distances, cli._sweep
 
@@ -337,21 +339,17 @@ class TestVerifyCommand:
             sources.append(source)
             return real_bfs(g, source)
 
-        def counting_sweep(b, lam, *route):
-            sweeps.append((lam, route))
-            real_sweep(b, lam, *route)
+        def counting_sweep(b, lam0, stop):
+            sweeps.append((tuple(b.cur), lam0, stop))
+            real_sweep(b, lam0, stop)
 
         monkeypatch.setattr(cli, "bfs_distances", counting_bfs)
         monkeypatch.setattr(cli, "_sweep", counting_sweep)
-        code, out, _ = run(capsys, "verify", "--n", "4", "--p", "3", "--format", "json")
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--p", str(p), "--format", "json")
         assert code == 0 and json.loads(out)["pair_mode"] == "exhaustive"
-        assert sources == [(0, 0, 0)]
-        assert len(sweeps) == len(set(sweeps))
-        vertices = graph_mod.build_certified_graph(4, 3).vertices
-        ells = {lam: planner._ell(lam, 3) for lam in vertices}
-        route_one = {(lam, (l, 0, l)) for lam, l in ells.items()}
-        # The Steinberg weight, ell 0, has no key below its own.
-        assert route_one - set(sweeps) == {((2, 2, 2), (0, 0, 0))}
+        assert sources == [(0,) * (n - 1)]
+        assert len(sweeps) == len(set(sweeps)) == p ** (n - 1)
+        assert all(not any(start[stop - 1 :]) for start, _, stop in sweeps)
 
     @pytest.mark.parametrize("half", ["prefix", "suffix"])
     def test_a_wrong_walk_fails_the_planner_line(self, capsys, monkeypatch, half):
