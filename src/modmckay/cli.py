@@ -8,22 +8,18 @@ Each subcommand is registered once, by the ``_command`` decorator on its
 handler: the help text, the option groups, the formats and whether
 ``--n`` is required.  The parser is built from that table.  A handler
 returns ``(payload, views, code)``: ``main`` renders ``--format json``
-from the payload, which may hold weight tuples, Move, PathPlan or
-CertifiedGraph objects and functions that append their own pieces, and
-every other format by calling the view of that name, so each output is
-built only when asked for.
+from the payload, and every other format by calling the view of that
+name, so each output is built only when asked for.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
-by ``_encode`` into one list of pieces.  Scalars go through the stdlib's
-C encoder.  A list of ints, such as a weight, is one join; any other
-list renders item by item, so a list of weights joins row by row.  A
-list of dicts with the same keys, such as ``bfs``'s distances or
-``graph``'s edges, fills one item template (``_records``): int rows from
-cached cells, other values once per distinct object.  A plan renders
-from its blocks (``_plan_json``): a block is its unit's text repeated,
-from a table of move labels per unit, and the waypoint rows are built
-per block from shared leads and tails (``PathPlan._rows``).  The text
-and DOT views of a plan take the same rows and labels, and so does
+by ``_encode`` into one list of pieces.  The stdlib's indent encoder is
+pure Python, so the five long lists are functions in their payloads that
+append their own pieces.  A plan's moves come from a table of move
+labels per unit (``_moves_json``), and its waypoint rows are built per
+block from shared leads and tails (``_waypoints_json``).  ``bfs``'s
+distances and ``graph``'s vertices and edges are one f-string per item,
+their weights from cells cached per value (``_int_rows``).  The text and
+DOT views of a plan take the same rows and labels, and so does
 ``canonical-path``, which renders the plan from zero to the Steinberg
 weight.
 
@@ -41,7 +37,7 @@ import json
 import random
 import sys
 from collections.abc import Callable
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -175,153 +171,49 @@ def _check_args(args, cmd: _Command) -> None:
 
 _compact = json.JSONEncoder(check_circular=False).encode
 _SCALARS = (str, int, float, type(None))  # bool is an int
-# The stdlib's own encodings of the commonest dict values, without the
-# encoder set-up that _compact makes on every call.
-_FAST = {str: encode_basestring_ascii, int: int.__repr__}
-
-
-def _key(key) -> str:
-    """A dict key as json.dumps writes it."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return '"' + _compact(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _row_slots(rows, inner: str, head: str) -> list | None:
-    """The slots of ``rows`` rendered as items at the indent ``inner``,
-    each after ``head``, when they are nonempty rows of exact ints (not
-    bools) of one length; else None.  Slot k holds every row's entry k,
-    after "[" or ",", from cells cached per value; the caller closes each
-    row with inner + "]"."""
-    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
-        return None
-    # Entry types before a set of entries, which keeps one of True and 1.
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        return None
-    cells = {v: inner + "  " + str(v) for v in set(chain.from_iterable(rows))}
-    slots: list = []
-    for at, entries in enumerate(zip(*rows)):
-        slots += repeat(head + ("," if at else "[")), map(cells.__getitem__, entries)
-        head = ""
-    return slots
-
-
-def _records(obj, indent: str, inner: str) -> str | None:
-    """The nonempty list ``obj`` of dicts from one item template, when the
-    items have the same str keys in the same order; else None.  The
-    template's constant text alternates with the values' texts.  A key
-    whose values are nonempty int rows of one length fills one slot per
-    entry from cells cached per value; any other values render once per
-    distinct object, so items that share a value, such as ``graph``'s
-    edges their move, share its text."""
-    keys = tuple(obj[0])
-    alike = all(type(item) is dict and tuple(item) == keys for item in obj)
-    if not alike or set(map(type, keys)) != {str}:
-        return None
-    member = inner + "  "
-    slots, head = [], "{"  # per item: constant text, a value's text, ...
-    for key, column in zip(keys, zip(*map(dict.values, obj))):
-        head += ("," if slots else "") + member + encode_basestring_ascii(key) + ": "
-        if all(isinstance(v, _SCALARS) for v in column):
-            slots += repeat(head), [_FAST.get(type(v), _compact)(v) for v in column]
-            head = ""
-            continue
-        rows = _row_slots(column, member, head)
-        if rows is not None:
-            slots += rows
-            head = member + "]"
-        else:
-            # Keyed by identity, which is safe while ``obj`` holds them all.
-            texts = {id(v): _text(v, member) for v in {id(v): v for v in column}.values()}
-            slots += repeat(head), [texts[id(v)] for v in column]
-            head = ""
-    slots.append(repeat(head + inner + "}"))
-    return "[" + inner + ("," + inner).join(map("".join, zip(*slots))) + indent + "]"
 
 
 def _encode(obj, indent: str, out: list[str]) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
-    ``indent`` (a newline and the spaces of the enclosing level).  A list
-    of ints (not bools) is one join, a list of int rows of one length one
-    pass over cached cells (``_row_slots``), a list of like dicts one
-    template (``_records``), any other list one item at a time, and a plan
-    renders from its blocks (``_plan_json``)."""
+    ``indent`` (a newline and the spaces of the enclosing level).  A
+    function appends its own pieces, a nonempty dict renders member by
+    member (its keys are str), and a nonempty list of exact ints is one
+    join.  Anything else is the stdlib's text, re-indented: JSON escapes a
+    newline inside a string, so every raw newline in it is indentation."""
     if isinstance(obj, _SCALARS):
         out.append(_compact(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        if all(type(v) is int for v in obj):
-            out.append("[" + inner + ("," + inner).join(map(str, obj)) + indent + "]")
-            return
-        if isinstance(obj[0], (list, tuple)):
-            rows = _row_slots(obj, inner, "")
-            if rows is not None:
-                rows.append(repeat(inner + "]"))
-                text = ("," + inner).join(map("".join, zip(*rows)))
-                out.append("[" + inner + text + indent + "]")
-                return
-        text = _records(obj, indent, inner) if isinstance(obj[0], dict) else None
-        if text is not None:
-            out.append(text)
-            return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            sep = "," + inner
-            _encode(item, inner, out)
-        out.append(indent + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        _members(obj.items(), indent + "  ", out)
-        out.append(indent + "}")
-    elif type(obj) is PathPlan:
-        _plan_json(obj, indent, out)
     elif callable(obj):  # a renderer of its own pieces, such as _waypoints_json's
         obj(indent, out)
-    else:
-        _encode(obj.to_json_dict(), indent, out)
-
-
-def _members(items, inner: str, out: list[str]) -> None:
-    """Append a nonempty dict's (key, value) ``items`` at the member
-    indent ``inner``, the first after "{", the others after ","."""
-    sep = "{" + inner
-    for key, value in items:
-        head = sep + _key(key) + ": "
-        fast = _FAST.get(type(value))
-        if fast is not None:
-            out.append(head + fast(value))
-        else:
-            out.append(head)
+    elif isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
             _encode(value, inner, out)
-        sep = "," + inner
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj and all(type(v) is int for v in obj):
+        inner = indent + "  "
+        out.append("[" + inner + ("," + inner).join(map(str, obj)) + indent + "]")
+    else:
+        out.append(json.dumps(obj, indent=2).replace("\n", indent))
 
 
-def _plan_json(plan: PathPlan, indent: str, out: list[str]) -> None:
-    """Append the pieces of ``json.dumps(plan.to_json_dict(), indent=2)``
-    nested at ``indent``, rendered from the plan's blocks: the moves from
-    a table of their texts per unit (PathPlan._labels, each text from
-    ``_move_json``), and the waypoints by ``_waypoints_json``, which
-    canonical-path shares."""
+def _int_rows(rows, indent: str) -> list[str]:
+    """Each nonempty row of ints in ``rows`` as JSON nested at ``indent``,
+    from one cell per distinct value."""
     inner = indent + "  "
-    item = inner + "  "
-    _members((
-        ("n", plan.n), ("p", plan.p), ("source", plan.source),
-        ("target", plan.target), ("length", plan.length),
-    ), inner, out)
+    cells = {v: inner + str(v) for v in set(chain.from_iterable(rows))}
+    close = indent + "]"
+    return ["[" + ",".join(map(cells.__getitem__, row)) + close for row in rows]
 
+
+def _moves_json(plan: PathPlan, indent: str, out: list[str]) -> None:
+    """Append the plan's moves as a JSON list nested at ``indent``, from a
+    table of their texts per unit (PathPlan._labels)."""
+    item = indent + "  "
     labels = plan._labels(lambda move: _move_json(move, item))
-    moves = "[" + item + ("," + item).join(labels) + inner + "]" if plan.blocks else "[]"
-    out.append("," + inner + '"moves": ' + moves + "," + inner + '"waypoints": ')
-    _waypoints_json(plan, inner, out)
-    out.append(indent + "}")
+    out.append("[" + item + ("," + item).join(labels) + indent + "]" if plan.blocks else "[]")
 
 
 def _waypoints_json(plan: PathPlan, indent: str, out: list[str]) -> None:
@@ -348,18 +240,10 @@ def _move_json(move: Move, indent: str) -> str:
     return text + indent + "}"
 
 
-def _text(obj, indent: str) -> str:
-    """The text of ``json.dumps(obj, indent=2)`` nested at ``indent``."""
-    pieces: list[str] = []
-    _encode(obj, indent, pieces)
-    return "".join(pieces)
-
-
 def _json(payload) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte; moves
-    and graphs in the payload render through their to_json_dict, plans
-    from their blocks and functions by appending their own pieces, only
-    when JSON is asked for."""
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte; the
+    functions in the payload append their own pieces, only when JSON is
+    asked for."""
     pieces: list[str] = []
     _encode(payload, "\n", pieces)
     pieces.append("\n")
@@ -468,7 +352,7 @@ def _cmd_conormal(args):
           formats=("text", "json"))
 def _cmd_moves(args):
     edges = certified_moves(args.weight, args.p)
-    moves = [{"move": m, "target": t} for m, t in edges]
+    moves = [{"move": m.to_json_dict(), "target": t} for m, t in edges]
     payload = {"weight": args.weight, "p": args.p, "moves": moves}
     return payload, {
         "text": lambda: "".join(f"{m} -> {format_weight(t)}\n" for m, t in edges),
@@ -484,7 +368,7 @@ def _cmd_validate(args):
         error = str(exc)
         payload = {"move": None, "error": error}
         return payload, {"text": lambda: f"no-such-edge: {error}\n"}, 1
-    return {"move": move}, {"text": lambda: f"{move}\n"}, 0
+    return {"move": move.to_json_dict()}, {"text": lambda: f"{move}\n"}, 0
 
 
 @_command("plan", "explicit certified path between two weights", "p", "fromto",
@@ -505,14 +389,33 @@ def _cmd_plan(args):
         name = f"plan_n{plan.n}_p{plan.p}"
         return graph_mod.walk_to_dot(name, plan._rows(), plan._labels(str))
 
-    return plan, {"text": text, "dot": dot}, 0
+    payload = {"n": plan.n, "p": plan.p, "source": plan.source, "target": plan.target,
+               "length": plan.length, "moves": functools.partial(_moves_json, plan),
+               "waypoints": functools.partial(_waypoints_json, plan)}
+    return payload, {"text": text, "dot": dot}, 0
 
 
 @_command("graph", "the certified subgraph for (n, p)", "p", "vertex-budget",
           formats=("text", "json", "dot"), needs_n=True)
 def _cmd_graph(args):
     g = build_certified_graph(args.n, args.p, args.budget)
-    return g, {
+
+    def vertices(indent: str, out: list[str]) -> None:
+        item = indent + "  "
+        rows = _int_rows(g.vertices, item)
+        out.append("[" + ",".join(item + row for row in rows) + indent + "]")
+
+    def edges(indent: str, out: list[str]) -> None:
+        item = indent + "  "
+        member = item + "  "
+        out.append("[" + ",".join(
+            f'{item}{{{member}"from": {i},{member}"to": {j},'
+            f'{member}"move": {_move_json(move, member)}{item}}}'
+            for i, adj in enumerate(g.adjacency) for move, j in adj
+        ) + indent + "]")
+
+    payload = {"n": g.n, "p": g.p, "vertices": vertices, "edges": edges}
+    return payload, {
         "text": lambda: f"vertices {len(g.vertices)}\nedges {g.edge_count}\n",
         "dot": lambda: graph_mod.graph_to_dot(g),
     }, 0
@@ -527,11 +430,19 @@ def _cmd_bfs(args):
     if args.src is None:
         raise ValueError("bfs needs --from (or --format csv for the full matrix)")
     dist = bfs_distances(g, args.src)
-    rows = list(zip(g.vertices, dist))
-    distances = [{"weight": w, "distance": d} for w, d in rows]
+
+    def distances(indent: str, out: list[str]) -> None:
+        item = indent + "  "
+        member = item + "  "
+        out.append("[" + ",".join(
+            f'{item}{{{member}"weight": {w},'
+            f'{member}"distance": {"null" if d is None else d}{item}}}'
+            for w, d in zip(_int_rows(g.vertices, member), dist)
+        ) + indent + "]")
+
     payload = {"n": args.n, "p": args.p, "source": args.src, "distances": distances}
     return payload, {"text": lambda: "".join(
-        f"{format_weight(w)} {'inf' if d is None else d}\n" for w, d in rows
+        f"{format_weight(w)} {'inf' if d is None else d}\n" for w, d in zip(g.vertices, dist)
     )}, 0
 
 

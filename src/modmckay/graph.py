@@ -71,22 +71,16 @@ class CertifiedGraph:
         return sum(len(adj) for adj in self.adjacency)
 
     def to_json_dict(self) -> dict:
-        """The graph as JSON data; the edges with one move share one dict
-        of it, which the command line renders once.  The table of those
-        dicts is built with the edges, one lookup per edge."""
-        moves: dict[Move, dict] = {}
-        edges = []
-        for i, adj in enumerate(self.adjacency):
-            for move, j in adj:
-                data = moves.get(move)
-                if data is None:
-                    data = moves[move] = move.to_json_dict()
-                edges.append({"from": i, "to": j, "move": data})
+        """The graph as JSON data."""
         return {
             "n": self.n,
             "p": self.p,
             "vertices": [list(w) for w in self.vertices],
-            "edges": edges,
+            "edges": [
+                {"from": i, "to": j, "move": move.to_json_dict()}
+                for i, adj in enumerate(self.adjacency)
+                for move, j in adj
+            ],
         }
 
 

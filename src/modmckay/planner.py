@@ -275,8 +275,9 @@ class PathPlan:
 
     def to_json_dict(self) -> dict:
         """The plan as JSON data, its moves and waypoints built in one
-        pass over the blocks.  The command line renders a plan's JSON
-        from its blocks instead (cli._plan_json), to the same text."""
+        pass over the blocks.  The command line renders a plan's moves
+        and waypoints from its blocks instead (cli._moves_json and
+        cli._waypoints_json), to the same text."""
         moves = []
         waypoints = [list(self.source)]
         for move, w, _ in self._walk():

@@ -1,4 +1,4 @@
-import enum
+import contextlib
 import gc
 import hashlib
 import io
@@ -16,7 +16,7 @@ from modmckay import cli, planner
 from modmckay import graph as graph_mod
 from modmckay.char0 import lr_neighbors
 from modmckay.cli import main
-from modmckay.moves import Move
+from modmckay.moves import Move, NoSuchEdgeError, certified_moves, validate_move
 from modmckay.planner import InvariantViolationError, plan_path
 from modmckay.weights import steinberg_weight
 from planner_oracle import canonical_path_char0
@@ -187,7 +187,7 @@ class TestGraphAndBfs:
         assert code == 0 and out.splitlines()[0] == "source,0,1,2"
 
     def test_bfs_json_matches_json_dumps(self, capsys):
-        # 2,187 rows of {"weight": [...], "distance": d}, one item template.
+        # 2,187 rows of {"weight": [...], "distance": d}, one f-string each.
         code, out, _ = run(capsys, "bfs", "--n", "8", "--p", "3", "--from", "0,0,0,0,0,0,0",
                            "--format", "json")
         assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -634,7 +634,7 @@ class TestOutputHandling:
 
 def _dumps(obj) -> str:
     """The oracle: the stdlib's pure-Python indent encoder."""
-    return json.dumps(obj, indent=2, default=lambda o: o.to_json_dict()) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 # Strings that would break a naive re-indent of the compact C encoding.
@@ -646,20 +646,13 @@ _TEXT = st.one_of(
 )
 _FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]))
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
-_OBJECTS = st.sampled_from([
-    Move("add_first"),
-    Move("clear_forward", 2),
-    Move("clear_last"),
-    plan_path((0, 0), (2, 2), 3),
-    plan_path((1,), (1,), 2),
-    graph_mod.build_certified_graph(3, 2),
-])
 
 
 @st.composite
 def _plans(draw):
-    """A plan of rank 2..8 at p in {2, 3, 5, 7, 11}, either end possibly
-    zero or the Steinberg weight, and sometimes the empty plan."""
+    """The ends and prime of a plan of rank 2..8 at p in {2, 3, 5, 7, 11},
+    either end possibly zero or the Steinberg weight, and sometimes the
+    empty plan."""
     n = draw(st.integers(2, 8))
     p = draw(st.sampled_from([2, 3, 5, 7, 11]))
     weight = st.one_of(
@@ -668,15 +661,12 @@ def _plans(draw):
         st.tuples(*[st.integers(0, p - 1)] * (n - 1)),
     )
     lam = draw(weight)
-    return plan_path(lam, draw(st.one_of(st.just(lam), weight)), p)
+    return lam, draw(st.one_of(st.just(lam), weight)), p
 
 
 _PLANS = _plans()
-_KEYS = st.one_of(_TEXT, st.integers(), _FLOATS, st.booleans(), st.none())
 _LEAVES = st.one_of(
     _SCALARS,
-    _OBJECTS,
-    _PLANS,
     st.lists(st.one_of(st.integers(), st.booleans(), st.none())),  # flat lists
     st.lists(st.integers()).map(tuple),
     st.lists(st.lists(st.one_of(st.integers(), st.booleans(), st.none()), min_size=1)),  # rows
@@ -687,64 +677,63 @@ _PAYLOADS = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(_KEYS, inner, max_size=5),
+        st.dictionaries(_TEXT, inner, max_size=5),
         st.tuples(inner, st.integers(2, 4)).map(lambda t: [t[0]] * t[1]),  # one object, repeated
     ),
     max_leaves=25,
 )
 
 
-@st.composite
-def _like_dicts(draw):
-    """A list of dicts with the same str keys in the same order, each
-    key's values all scalars or all int rows of one length, sometimes with
-    one value changed to another shape, which renders on its own, or one
-    item's key order changed, which falls back to the per-piece path."""
-    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
-    count = draw(st.integers(1, 6))
-    columns = []
-    for _ in keys:
-        width = draw(st.integers(0, 3))  # 0: scalars
-        row = st.lists(st.integers(), min_size=width, max_size=width)
-        values = st.one_of(row, row.map(tuple)) if width else _SCALARS
-        columns.append(draw(st.lists(values, min_size=count, max_size=count)))
-    items = [dict(zip(keys, values)) for values in zip(*columns)]
-    item = draw(st.sampled_from(items))
-    key = draw(st.sampled_from(keys))
-    change = draw(st.sampled_from(["none", "order", "value"]))
-    if change == "order":
-        for k in list(item)[:1]:
-            item[k] = item.pop(k)  # the first key last
-    elif change == "value":
-        item[key] = draw(st.sampled_from(
-            [{"a": 1}, {}, [], (), [1, 2, 3, 4, 5], [True], [1.0], [None], [[1]], "x", 1.5]
-        ))
-    return items
+def _plan_args(lam, mu, p) -> list[str]:
+    return ["plan", "--p", str(p), "--from", ",".join(map(str, lam)),
+            "--to", ",".join(map(str, mu)), "--format", "json"]
 
 
-# An int subclass, which the one join must not take: before Python 3.11
-# its str is "_Digit.ONE".
-class _Digit(enum.IntEnum):
-    ONE = 1
+def _bfs_payload(n, p, source) -> dict:
+    g = graph_oracle.build_certified_graph(n, p)
+    distances = graph_mod.bfs_distances(g, source)
+    return {"n": n, "p": p, "source": list(source), "distances": [
+        {"weight": list(w), "distance": d} for w, d in zip(g.vertices, distances)
+    ]}
 
 
-@st.composite
-def _int_rows(draw):
-    """A nonempty list (or tuple) of int rows, lists or tuples, of one
-    length, sometimes with one entry changed to a bool, a float, None or
-    an int subclass, or one row to another length, which fall back to the
-    per-piece path."""
-    width = draw(st.integers(1, 4))
-    row = st.lists(st.integers(), min_size=width, max_size=width)
-    rows = draw(st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=6))
-    at = draw(st.integers(0, len(rows) - 1))
-    change = draw(st.sampled_from(["none", "entry", "length"]))
-    if change == "entry":
-        entry = draw(st.sampled_from([True, False, 1.0, None, _Digit.ONE]))
-        rows[at] = [*rows[at][:-1], entry]
-    elif change == "length":
-        rows[at] = [*rows[at], 0]
-    return draw(st.sampled_from([rows, tuple(rows)]))
+def _moves_payload(weight, p) -> dict:
+    return {"weight": list(weight), "p": p, "moves": [
+        {"move": move.to_json_dict(), "target": list(target)}
+        for move, target in certified_moves(weight, p)
+    ]}
+
+
+def _validate_payload(src, tgt, p) -> dict:
+    try:
+        return {"move": validate_move(src, tgt, p).to_json_dict()}
+    except NoSuchEdgeError as exc:
+        return {"move": None, "error": str(exc)}
+
+
+# Every command whose JSON holds a long list, each with the payload that
+# json.dumps must reproduce, built from the objects' to_json_dict.
+_COMMAND_CASES = [
+    (_plan_args((1,), (1,), 2), 0, lambda: plan_path((1,), (1,), 2).to_json_dict()),  # empty
+    (_plan_args((3,), (0,), 5), 0, lambda: plan_path((3,), (0,), 5).to_json_dict()),
+    (_plan_args((2, 2, 2), (0, 0, 0), 3), 0,
+     lambda: plan_path((2, 2, 2), (0, 0, 0), 3).to_json_dict()),
+    *[
+        (["graph", "--n", str(n), "--p", str(p), "--format", "json"], 0,
+         lambda n=n, p=p: graph_oracle.build_certified_graph(n, p).to_json_dict())
+        for n, p in ((3, 2), (6, 2), (5, 3))
+    ],
+    (["bfs", "--n", "3", "--p", "3", "--from", "1,2", "--format", "json"], 0,
+     lambda: _bfs_payload(3, 3, (1, 2))),
+    (["bfs", "--n", "4", "--p", "5", "--from", "0,0,0", "--format", "json"], 0,
+     lambda: _bfs_payload(4, 5, (0, 0, 0))),
+    (["moves", "--p", "3", "--weight", "0,0,1", "--format", "json"], 0,
+     lambda: _moves_payload((0, 0, 1), 3)),
+    (["validate", "--p", "3", "--from", "2,0", "--to", "1,0", "--format", "json"], 0,
+     lambda: _validate_payload((2, 0), (1, 0), 3)),
+    (["validate", "--p", "3", "--from", "1,0", "--to", "1,1", "--format", "json"], 1,
+     lambda: _validate_payload((1, 0), (1, 1), 3)),
+]
 
 
 # Dict objects that the payloads below hold several times, at two depths.
@@ -753,29 +742,41 @@ _ADD_FIRST = {"kind": "add_first"}
 
 
 class TestJsonEncoder:
-    # A plan renders from its blocks: alone, and inside the payloads'
-    # lists and dicts, which deepen its indent.
+    # Plain data with str keys: the lists and dicts deepen the indent of
+    # whatever falls back to the stdlib.
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_PLANS, _PAYLOADS))
+    @given(_PAYLOADS)
     def test_matches_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)
 
-    # Lists of dicts with like keys render from one item template.
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_like_dicts(), st.lists(_like_dicts(), max_size=3)))
-    def test_records_match_json_dumps(self, payload):
-        assert cli._json(payload) == _dumps(payload)
+    # The long lists of every command render themselves: the output must
+    # be json.dumps of the payload that to_json_dict describes.
+    @pytest.mark.parametrize("argv, code, reference", _COMMAND_CASES,
+                             ids=[" ".join(argv[:-2]) for argv, _, _ in _COMMAND_CASES])
+    def test_command_matches_reference(self, capsys, argv, code, reference):
+        assert run(capsys, *argv)[:2] == (code, _dumps(reference()))
 
-    # Lists of int rows of one length render in one pass over cached cells,
-    # alone and nested, which deepens their indent.
+    # A plan's moves and waypoints render from its blocks, alone and
+    # inside the plan's dict.
+    @settings(max_examples=100, deadline=None)
+    @given(_PLANS)
+    def test_plan_command_matches_to_json_dict(self, ends):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(_plan_args(*ends)) == 0
+        assert out.getvalue() == _dumps(plan_path(*ends).to_json_dict())
+
+    # Rows of ints render from one cell per distinct value, at any indent.
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(
-        _int_rows(),
-        st.lists(_int_rows(), max_size=3),
-        st.dictionaries(_TEXT, _int_rows(), max_size=3),
-    ))
-    def test_int_rows_match_json_dumps(self, payload):
-        assert cli._json(payload) == _dumps(payload)
+    @given(
+        st.lists(st.one_of(st.lists(st.integers(), min_size=1),
+                           st.lists(st.integers(), min_size=1).map(tuple)), min_size=1),
+        st.sampled_from(["\n", "\n    "]),
+    )
+    def test_int_rows_match_json_dumps(self, rows, indent):
+        assert cli._int_rows(rows, indent) == [
+            json.dumps(row, indent=2).replace("\n", indent) for row in rows
+        ]
 
     # A plan's move labels come from one template per kind.
     @pytest.mark.parametrize("move", [
@@ -783,63 +784,55 @@ class TestJsonEncoder:
     ], ids=str)
     @pytest.mark.parametrize("indent", ["\n", "\n      "], ids=["top", "nested"])
     def test_move_labels_match_generic_encoder(self, move, indent):
-        assert cli._move_json(move, indent) == cli._text(move.to_json_dict(), indent)
+        text = json.dumps(move.to_json_dict(), indent=2).replace("\n", indent)
+        assert cli._move_json(move, indent) == text
 
-    # Shapes that fall back to the per-piece path, or whose values the item
-    # template renders one distinct object at a time.
+    # Lists of dicts, which the stdlib renders.
     @pytest.mark.parametrize("payload", [
         [{"a": 1, "b": 2}, {"b": 1, "a": 2}], [{"a": 1}, {"b": 1}], [{"a": {"b": 1}}],
         [{"a": []}, {"a": []}], [{"a": [1, 2]}, {"a": [3]}], [{"a": [1]}, {"a": [True]}],
         [{"a": 1}, {"a": True}], [{"a": (1, 2)}, {"a": [3, 4]}], [{"a{}": '"\u2603'}],
-        [{"a": 1}, {"a": [1]}], [{1: 2}], [{"a": 1}, [1]], [{"a": [Move("add_first")]}],
+        [{"a": 1}, {"a": [1]}], [{1: 2}], [{"a": 1}, [1]], [{"a": [_ADD_FIRST]}],
     ])
     def test_record_fallbacks_match_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)
 
-    def test_graph_edges_render_each_move_once(self, monkeypatch):
-        # An edge's move is a dict whose keys vary with its kind; the edges
-        # of one move share it, and the item template renders it once.
-        g = graph_mod.build_certified_graph(4, 3)
-        rendered = []
-        real = cli._text
-        monkeypatch.setattr(cli, "_text", lambda obj, indent: rendered.append(obj) or real(obj, indent))
-        assert cli._json(g) == _dumps(g)
-        moves = {move for adj in g.adjacency for move, _ in adj}
-        assert len(moves) == 4 and g.edge_count > 4
-        assert sorted(map(str, rendered)) == sorted(str(m.to_json_dict()) for m in moves)
-
     @pytest.mark.parametrize("payload", [
-        [], {}, (), [[]], [{}], {"": []}, [1, [2]], [1, "a, b"], [1, Move("add_first")],
-        [0.5, math.nan, -math.inf, True, None], {1: 1, 2.5: 2, True: 3, None: 4},
+        [], {}, (), [[]], [{}], {"": []}, [1, [2]], [1, "a, b"], [1, _ADD_FIRST],
+        [0.5, math.nan, -math.inf, True, None], [{1: 1, 2.5: 2, True: 3, None: 4}],
         [[1, [2], 3]], [[1, 2], 3], [[1, [2]], 3], [[1], []], [[]], [[[1]]], [(1, 2), [3]],
         [[math.nan, True, None], [-0.0, 1e300]],
         # Only lists of exact ints are one join.
         [1, True], [True, 1], (2**70, -1, 0), [[1, 2], [3, True]], [[1], (2, 3)],
-        [1, _Digit.ONE, 2],
+        [1, 2.0, 3],
         [_LABEL, {"kind": "clear_last"}, _LABEL, _LABEL],
         [_LABEL, _ADD_FIRST, _LABEL, _ADD_FIRST],
         {"moves": [_LABEL, _LABEL], "nested": [[_LABEL, 1], [_LABEL]]},
-        plan_path((3,), (0,), 5),  # n = 2 to zero: add_first, then clear_last
-        {"plan": [plan_path((0,), (0,), 2)]},  # the empty plan: "moves" is []
-        [plan_path((2, 2, 2), (0, 0, 0), 3)] * 2,
+        plan_path((3,), (0,), 5).to_json_dict(),  # n = 2 to zero: add_first, then clear_last
+        {"plan": [plan_path((0,), (0,), 2).to_json_dict()]},  # the empty plan: "moves" is []
+        [plan_path((2, 2, 2), (0, 0, 0), 3).to_json_dict()] * 2,
     ])
     def test_edge_cases_match_json_dumps(self, payload):
         assert cli._json(payload) == _dumps(payload)
 
     def test_bad_key_is_type_error(self):
-        with pytest.raises(TypeError, match="keys must be str"):
+        # Payload keys are str literals; another key is refused, not
+        # rendered wrong.
+        with pytest.raises(TypeError):
             cli._json({(1, 2): 0})
 
-    def test_rendering_leaves_no_garbage_cycles(self):
-        plan = plan_path((0,) * 19, steinberg_weight(20, 7), 7)
+    def test_rendering_leaves_no_garbage_cycles(self, capsys):
+        argv = _plan_args((0,) * 19, steinberg_weight(20, 7), 7)
         gc.collect()
         gc.disable()
         try:
-            text = cli._json(plan)
+            code, text, _ = run(capsys, *argv)
             assert gc.collect() == 0
         finally:
             gc.enable()
+        assert code == 0
         # Digests, so a mismatch in these megabytes fails without a text diff.
+        reference = plan_path((0,) * 19, steinberg_weight(20, 7), 7).to_json_dict()
         assert hashlib.sha256(text.encode()).hexdigest() == hashlib.sha256(
-            _dumps(plan).encode()
+            _dumps(reference).encode()
         ).hexdigest()
