@@ -15,13 +15,12 @@ JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
 by ``_encode`` into one list of pieces.  The stdlib's indent encoder is
 pure Python, so the five long lists are functions in their payloads that
 append their own pieces.  A plan's moves come from a table of move
-labels per unit (``_moves_json``), and its waypoint rows are built per
-block from shared leads and tails (``_waypoints_json``).  ``bfs``'s
+labels per unit (``_moves_json``), and its waypoints from the text that
+PathPlan._render appends per block (``_waypoints_json``).  ``bfs``'s
 distances and ``graph``'s vertices and edges are one f-string per item,
 their weights from cells cached per value (``_int_rows``).  The text and
-DOT views of a plan take the same rows and labels, and so does
-``canonical-path``, which renders the plan from zero to the Steinberg
-weight.
+DOT views of a plan, and of ``canonical-path``, which renders the plan
+from zero to the Steinberg weight, come from that renderer too.
 
 Exit codes: 0 success; 1 verification failure (``verify``,
 ``validate``) or a planner invariant violation, reported as ``error:``
@@ -218,15 +217,13 @@ def _moves_json(plan: PathPlan, indent: str, out: list[str]) -> None:
 
 def _waypoints_json(plan: PathPlan, indent: str, out: list[str]) -> None:
     """Append the pieces of the plan's waypoints as a JSON list nested at
-    ``indent``, from the rows that PathPlan._rows builds per block.  The
-    rows go in as pieces, each followed by its separator or, the last, by
-    the close, so their text is copied once, by the final join."""
+    ``indent``, from the text that PathPlan._render appends per block:
+    each row after the first is preceded by the close of the one before."""
     item = indent + "  "
-    rows = plan._rows(item + "  ")
-    ends = [item + "]," + item + "["] * len(rows)
-    ends[-1] = item + "]" + indent + "]"
+    sep = item + "]," + item + "["
     out.append("[" + item + "[")
-    out += chain.from_iterable(zip(rows, ends))
+    plan._render(out, item + "  ", lambda move: sep)
+    out.append(item + "]" + indent + "]")
 
 
 def _move_json(move: Move, indent: str) -> str:
@@ -299,6 +296,23 @@ def _check_walk(moves: int, n: int) -> None:
         )
 
 
+def _walk_text(plan: PathPlan, sep: Callable[[Move], str] = lambda move: "\n",
+               head: str = "{}") -> str:
+    """``head`` with the source's row for its braces, then each later row
+    led by ``sep`` of its move, and a newline."""
+    out: list[str] = []
+    plan._render(out, "", sep)
+    out[0] = head.format(out[0])
+    out.append("\n")
+    return "".join(out)
+
+
+def _walk_dot(plan: PathPlan, name: str, label: Callable[[Move], str]) -> str:
+    """The walk as a DOT path, each step named ``label`` of its move: the
+    one view that needs each row on its own."""
+    return graph_mod.walk_to_dot(name, _walk_text(plan).splitlines(), plan._labels(label))
+
+
 @_command("canonical-path", "explicit zero-to-Steinberg path", "p",
           formats=("text", "json", "dot"), needs_n=True)
 def _cmd_canonical_path(args):
@@ -307,13 +321,10 @@ def _cmd_canonical_path(args):
     plan = plan_path((0,) * (args.n - 1), steinberg_weight(args.n, args.p), args.p)
     payload = {"n": args.n, "p": args.p, "length": plan.length,
                "waypoints": functools.partial(_waypoints_json, plan)}
-
-    def dot() -> str:
-        # Its moves are add_first and clear_forward, the edges "a" and "b(i)".
-        kinds = plan._labels(lambda move: _A if move.s is None else _b(move.s))
-        return graph_mod.walk_to_dot(f"canonical_n{plan.n}_p{plan.p}", plan._rows(), kinds)
-
-    return payload, {"text": lambda: "\n".join(plan._rows()) + "\n", "dot": dot}, 0
+    # Its moves are add_first and clear_forward, the edges "a" and "b(i)".
+    dot = functools.partial(_walk_dot, plan, f"canonical_n{plan.n}_p{plan.p}",
+                            lambda move: _A if move.s is None else _b(move.s))
+    return payload, {"text": functools.partial(_walk_text, plan), "dot": dot}, 0
 
 
 @_command("char0-dist", "exact bounded distance in characteristic 0",
@@ -377,21 +388,12 @@ def _cmd_plan(args):
     plan = plan_path(args.src, args.tgt, args.p)
     _check_walk(plan.length, plan.n)
 
-    def text() -> str:
-        rows = plan._rows()
-        steps = zip(plan._labels(lambda move: f"\n{move} -> "), rows[1:])
-        return (
-            f"source {rows[0]}\ntarget {format_weight(plan.target)}\n"
-            f"length {plan.length}" + "".join(chain.from_iterable(steps)) + "\n"
-        )
-
-    def dot() -> str:
-        name = f"plan_n{plan.n}_p{plan.p}"
-        return graph_mod.walk_to_dot(name, plan._rows(), plan._labels(str))
-
     payload = {"n": plan.n, "p": plan.p, "source": plan.source, "target": plan.target,
                "length": plan.length, "moves": functools.partial(_moves_json, plan),
                "waypoints": functools.partial(_waypoints_json, plan)}
+    head = f"source {{}}\ntarget {format_weight(plan.target)}\nlength {plan.length}"
+    text = functools.partial(_walk_text, plan, lambda move: f"\n{move} -> ", head)
+    dot = functools.partial(_walk_dot, plan, f"plan_n{plan.n}_p{plan.p}", str)
     return payload, {"text": text, "dot": dot}, 0
 
 

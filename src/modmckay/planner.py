@@ -54,8 +54,8 @@ certified fills as from any weight with ell above ell(mu).
 The finished walk must end at the target within the length bound.  A
 failed check raises InvariantViolationError rather than being silently
 repaired, since it can only mean a bug in the construction.  A plan
-holds its blocks; its moves and waypoints are expanded from them when
-asked for.
+holds its blocks; its moves, waypoints and text are expanded from them,
+per block, when asked for.
 
 All prose steps of the underlying recipe that admit two readings are
 resolved the way the move validator and the length bound both accept;
@@ -167,7 +167,7 @@ def _run(cur: list[int], kind: str, at: int, k: int, p: int) -> None:
 @dataclass(frozen=True)
 class PathPlan:
     """A validated walk through the certified subgraph, held as the
-    certified blocks ``(kind, at, k)`` that make it up."""
+    certified blocks ``(kind, at, k)``; its moves and text expand them."""
 
     n: int
     p: int
@@ -189,67 +189,12 @@ class PathPlan:
         for move in self._moves():
             yield move, cur, _effect(cur, move.kind, move.s or 1, 1, p)
 
-    def _rows(self, prefix: str = "") -> list[str]:
-        """The source and the weight after each move, as cells of their
-        values, each ``prefix`` and the digits, joined by commas.  A cell
-        is made once per value met, not per value below p, which may be
-        huge.  The rows are built per block, with no step per move, from
-        its precondition, zeros before ``at``: a clearing run keeps the
-        text around its one or two entries, and a repeat of travel(x)
-        shows a 1 sliding over the zeros, then entry x raised by one.  So
-        each value of entry x ends x rows that share the text after it,
-        and whose leads, all zeros and then a 1 at each position below x,
-        are made once per x."""
-        q = self.p - 1
-        cells: dict[int, str] = {}
-        leads: dict[int, list[str]] = {}
-
-        def cells_of(values) -> list[str]:
-            for v in set(values).difference(cells):
-                cells[v] = prefix + str(v)
-            return [cells[v] for v in values]
-
-        cur = list(self.source)
-        row = cells_of(cur)
-        rows = [",".join(row)]
-        for kind, at, k in self.blocks:
-            i = at - 1
-            e = cur[i]
-            head = ",".join([*row[:i], ""])  # zeros, by the precondition
-            if kind == _TRAVEL:
-                group = leads.get(at)
-                if group is None:
-                    # Windows of one band, a 1 amid zeros: cells of 0 and 1
-                    # are equally wide.
-                    zero, one = (c + "," for c in cells_of((0, 1)))
-                    band, w = zero * (i - 1) + one + zero * (i - 1), len(zero)
-                    group = leads[at] = [head] + [
-                        band[r * w : (r + i) * w] for r in range(i - 1, -1, -1)
-                    ]
-                # Entry x runs through e, rep(e+1), ..., rep(e+k).  The
-                # first value's all-zero row is the weight before the block
-                # and its last value's slides belong to the next repeat.
-                tail = ",".join(["", *row[at:]])
-                ends = [c + tail for c in cells_of([e] + [v % q + 1 for v in range(e, e + k)])]
-                rows += [lead + end for end in ends for lead in group][1 : k * at + 1]
-            elif kind == CLEAR_FORWARD:
-                tail = ",".join(["", *row[at + 1 :]])
-                highs = cells_of([v % q + 1 for v in range(cur[at], cur[at] + k)])
-                lows = cells_of(range(e - 1, e - k - 1, -1))
-                rows += [f"{head}{low},{high}{tail}" for low, high in zip(lows, highs)]
-            else:
-                rows += [head + c for c in cells_of(range(e - 1, e - k - 1, -1))]
-            for j in _effect(cur, kind, at, k, self.p):
-                row[j] = cells[cur[j]]
-        return rows
-
-    def _labels(self, label: Callable[[Move], object]) -> Iterator:
-        """``label`` of each move, in order: a block ``(kind, at, k)``
-        repeats its unit's labels k times, from a table keyed by (kind,
-        at).  Every unit but clear_last is a run of add_first,
-        clear_forward(1), clear_forward(2), ...: travel(x) the first x of
-        them, clear_forward(s) the one at s.  So the table slices one line
-        of labels, and each move is labelled once."""
+    def _units(self, label: Callable[[Move], object]) -> dict[tuple[str, int], tuple]:
+        """``label`` of each unit's moves, keyed by (kind, at).  Every unit
+        but clear_last is a run of add_first, clear_forward(1),
+        clear_forward(2), ...: travel(x) the first x of them,
+        clear_forward(s) the one at s.  So the table slices one line of
+        labels, and each move is labelled once."""
         line: list = []  # the labels of add_first, clear_forward(1), ...
         units: dict[tuple[str, int], tuple] = {}
         for kind, at, _ in self.blocks:
@@ -261,7 +206,60 @@ class PathPlan:
             start, stop = (0, at) if kind == _TRAVEL else (at, at + 1)
             line += map(label, _travel(stop)[len(line) :])
             units[kind, at] = tuple(line[start:stop])
+        return units
+
+    def _labels(self, label: Callable[[Move], object]) -> Iterator:
+        """``label`` of each move, in order, from the table of _units."""
+        units = self._units(label)
         return chain.from_iterable(units[kind, at] * k for kind, at, k in self.blocks)
+
+    def _render(self, out: list[str], prefix: str, sep: Callable[[Move], str]) -> None:
+        """Append the walk's text to ``out``: the source's row, then each
+        later row led by ``sep`` of the move that reaches it.  A row is its
+        weight's cells, ``prefix`` and the digits, joined by commas.  By a
+        block's precondition, zeros before ``at``, no row is a string of
+        its own: a clearing run or travel(1) is one join of the one or two
+        cells it changes, between a fixed head and tail, and a repeat of
+        travel(x) slides a 1 over the zeros, then raises entry x by one,
+        so each value of entry x is one join of x leads, zeros and a 1 at
+        each position below x, made once per x with their separators."""
+        q = self.p - 1
+        seps = self._units(sep)
+        leads: dict[int, list[str]] = {}
+        zero = prefix + "0,"
+        cur = list(self.source)
+        row = [prefix + str(v) for v in cur]
+        out.append(",".join(row))
+        for kind, at, k in self.blocks:
+            i, e, unit = at - 1, cur[at - 1], seps[kind, at]
+            pre = unit[-1] + zero * i + prefix  # the start of a row that changes entry at
+            tail = ",".join(["", *row[at + (kind == CLEAR_FORWARD) :]])
+            if kind == CLEAR_FORWARD:  # entry at runs down from e, the next up from c
+                c = cur[at]
+                cells = [f"{e - j},{prefix}{(c + j - 1) % q + 1}" for j in range(1, k + 1)]
+                out += pre, (tail + pre).join(cells), tail
+            elif kind == CLEAR_LAST or at == 1:  # the tail of clear_last is empty
+                values = range(e - 1, e - k - 1, -1) if kind == CLEAR_LAST else (
+                    v % q + 1 for v in range(e, e + k))
+                out += pre, (tail + pre).join(map(str, values)), tail
+            else:
+                group = leads.get(at)
+                if group is None:
+                    # Windows of one band, a 1 amid zeros (cells of 0 and 1
+                    # are equally wide), reached by add_first, then
+                    # clear_forward(j) for the 1 at j+1; "" closes a join.
+                    band, w = zero * (i - 1) + prefix + "1," + zero * (i - 1), len(zero)
+                    group = leads[at] = [unit[-1] + zero * i] + [
+                        unit[j] + band[(i - 1 - j) * w : (2 * i - 1 - j) * w] for j in range(i)
+                    ] + [""]
+                # Entry x runs through e, rep(e+1), ..., rep(e+k).  The
+                # first value's all-zero row is the weight before the block
+                # and its last value's slides belong to the next repeat.
+                out.append((prefix + str(e) + tail).join(group[1:]))
+                out += [(prefix + str(v % q + 1) + tail).join(group) for v in range(e, e + k - 1)]
+                out += pre, str((e + k - 1) % q + 1), tail
+            for j in _effect(cur, kind, at, k, self.p):
+                row[j] = prefix + str(cur[j])
 
     @property
     def moves(self) -> tuple[Move, ...]:

@@ -3,7 +3,7 @@
 # with, which modmckay.moves no longer has: the step-by-step oracle that
 # tests/test_planner.py compares modmckay.planner's expanded plans against.
 # At the end, ``rows``: the per-move renderer of a block plan's waypoint
-# rows, the oracle of the block-wise PathPlan._rows.  At the start,
+# rows, the oracle of the block-wise PathPlan._render.  At the start,
 # ``canonical_path_char0``: the zero-to-Steinberg path built edge by edge,
 # as modmckay.char0 had it; the oracle of the plan from zero to the
 # Steinberg weight, which the canonical-path command renders.

@@ -118,6 +118,22 @@ class TestCanonicalPathCommand:
         assert capsys.readouterr() == ("", "")
         assert kept < 1 << 20
 
+    @pytest.mark.parametrize("fmt, limit", [("text", 8.25), ("json", 10.35)])
+    def test_peak_memory(self, tmp_path, capsys, fmt, limit):
+        # A 100,002-move walk at n = 2 is one travel(1) block, rendered as
+        # one join of its cells' digits.  The peak measured 6.6 MiB in text
+        # and 8.3 MiB in JSON; the limits leave 25% over that.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["canonical-path", "--n", "2", "--p", "100003", "--format", fmt,
+                         "--output", str(tmp_path / f"canonical.{fmt}")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == ("", "")
+        assert code == 0 and peak < limit * 2**20
+
 
 class TestPlanCommand:
     def test_plan_json_matches_golden_path(self, capsys):

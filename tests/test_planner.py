@@ -1,5 +1,8 @@
+import argparse
+import json
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -371,23 +374,62 @@ def block_walks(draw, max_n=7):
     return certified_plan(source, p, runs)
 
 
-# The JSON cell prefix of a plan's waypoint entries: a newline and the
-# indent of their depth.
-JSON_PREFIX = "\n" + " " * 8
+# The JSON nesting of a payload's members, of its waypoint rows, and of
+# their entries: each a newline and the indent of its depth.
+INDENT = "\n  "
+ITEM = INDENT + "  "
+JSON_PREFIX = ITEM + "  "
+
+
+def dot(name, rows, labels):
+    """A DOT path through ``rows``: one node per distinct row, in order of
+    first visit, and one labelled edge per step."""
+    nodes = [f'  "{row}";' for row in dict.fromkeys(rows)]
+    edges = [f'  "{a}" -> "{b}" [label="{k}"];' for a, b, k in zip(rows, rows[1:], labels)]
+    return "\n".join([f"digraph {name} {{", *nodes, *edges, "}"]) + "\n"
 
 
 class TestRowsMatchTheOracle:
-    """PathPlan._rows builds the waypoint rows per block; the oracle
-    (planner_oracle.rows) steps them move by move, and both must equal the
-    waypoints formatted one by one."""
+    """Every walk view, the plan and canonical-path commands' text, JSON
+    and DOT, renders the text that PathPlan._render appends per block.
+    The oracle (planner_oracle.rows) steps the rows move by move, and each
+    view must equal them joined with its separators."""
 
     @staticmethod
     def assert_rows(plan):
-        for prefix in ("", JSON_PREFIX):
-            rows = plan._rows(prefix)
-            assert rows == list(planner_oracle.rows(plan, prefix))
-            assert rows == [",".join(prefix + str(v) for v in w) for w in plan.waypoints]
-        assert plan._rows() == list(map(format_weight, plan.waypoints))
+        rows = list(planner_oracle.rows(plan))
+        cells = list(planner_oracle.rows(plan, JSON_PREFIX))
+        assert rows == list(map(format_weight, plan.waypoints))
+        assert cells == [",".join(JSON_PREFIX + str(v) for v in w) for w in plan.waypoints]
+        moves = [move for move, _, _ in plan._walk()]
+        sep = ITEM + "]," + ITEM + "["
+        waypoints = "[" + ITEM + "[" + sep.join(cells) + ITEM + "]" + INDENT + "]"
+        n, p = plan.n, plan.p
+
+        def expected_json(payload):
+            text = json.dumps({**payload, "waypoints": None}, indent=2)
+            return text[: text.rindex("null")] + waypoints + "\n}\n"
+
+        # The commands render the plan they are given as their planner's.
+        with mock.patch.object(cli, "plan_path", lambda *args: plan):
+            args = argparse.Namespace(src=plan.source, tgt=plan.target, p=p, n=n)
+            payload, views, _ = cli._cmd_plan(args)
+            assert cli._json(payload) == expected_json({
+                "n": n, "p": p, "source": list(plan.source), "target": list(plan.target),
+                "length": plan.length, "moves": [move.to_json_dict() for move in moves],
+            })
+            steps = "".join(f"\n{move} -> {row}" for move, row in zip(moves, rows[1:]))
+            assert views["text"]() == (
+                f"source {rows[0]}\ntarget {format_weight(plan.target)}\n"
+                f"length {plan.length}{steps}\n"
+            )
+            assert views["dot"]() == dot(f"plan_n{n}_p{p}", rows, map(str, moves))
+
+            payload, views, _ = cli._cmd_canonical_path(args)
+            assert cli._json(payload) == expected_json({"n": n, "p": p, "length": plan.length})
+            assert views["text"]() == "".join(row + "\n" for row in rows)
+            labels = ("a" if move.s is None else f"b({move.s})" for move in moves)
+            assert views["dot"]() == dot(f"canonical_n{n}_p{p}", rows, labels)
 
     @pytest.mark.parametrize("source, p, runs", [
         # p = 2: rep is 1, so add_first at a 1 is a self-loop.
@@ -399,6 +441,14 @@ class TestRowsMatchTheOracle:
         ((2, 1), 3, []),
         # clear_forward(n-2): nothing after the entry it raises.
         ((0, 3, 1), 5, [(CLEAR_FORWARD, 2, 3), (CLEAR_LAST, 3, 4)]),
+        # travel(1) runs of k > p-1 in front of a tail, one joined block each.
+        ((0, 2, 1), 5, [(planner._TRAVEL, 1, 9), (planner._TRAVEL, 1, 13), (CLEAR_FORWARD, 1, 2)]),
+        # Runs of one move, of every kind.
+        ((0, 0, 3), 5, [(planner._TRAVEL, 3, 1), (planner._TRAVEL, 1, 1), (CLEAR_FORWARD, 1, 1),
+                        (CLEAR_FORWARD, 2, 1), (CLEAR_LAST, 3, 1)]),
+        # p = 2 with every kind: travel(x) for x = 1, 2, 3, and clearing runs.
+        ((0, 0, 0), 2, [(planner._TRAVEL, 3, 2), (planner._TRAVEL, 1, 3), (CLEAR_FORWARD, 1, 1),
+                        (planner._TRAVEL, 2, 1), (CLEAR_FORWARD, 2, 1), (CLEAR_LAST, 3, 1)]),
     ])
     def test_edge_cases(self, source, p, runs):
         self.assert_rows(certified_plan(source, p, runs))
