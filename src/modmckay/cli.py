@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: the commands, their renderers and
+run_verification, the acceptance checks behind ``verify``.
 
 One subcommand per operation; all take weights as comma-separated entry
 lists (``--weight 1,0,0,0``), with ``--n`` inferred from the length when
@@ -41,13 +42,11 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import graph as graph_mod
-from . import planner as planner_mod
 from .char0 import _A, _b, char0_distance, lr_neighbors
 from .conormal import _rows, addable_indices, conormal_indices, removable_indices
 from .graph import (
     BudgetExceededError,
     _distance_rows,
-    _mask_bytes,
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
@@ -56,7 +55,6 @@ from .moves import (
     Move,
     NoSuchEdgeError,
     _certify,
-    _rep,
     _successors,
     certified_moves,
     first_nonzero_position,
@@ -65,14 +63,7 @@ from .moves import (
 from .planner import (
     InvariantViolationError,
     PathPlan,
-    _after_sweep,
-    _Builder,
-    _ell,
-    _from_waypoint,
-    _route,
-    _sweep,
-    _waypoint,
-    _waypoint_key,
+    _check_plans,
     length_bound,
     plan_path,
 )
@@ -502,8 +493,8 @@ def _cmd_verify(args):
 
 
 # verify measures the gap figures on every ordered pair of an instance with
-# at most this many vertices whose distance matrix fits within
-# graph.DIAMETER_MEMORY_LIMIT, and on a seeded sample of pairs otherwise.
+# at most this many vertices, and on a seeded sample of pairs otherwise.  Its
+# distance matrix, 1.5 MiB at most, fits graph.DIAMETER_MEMORY_LIMIT.
 _EXHAUSTIVE_VERTICES = 1024
 
 
@@ -551,10 +542,7 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     # indices of its targets, and each source's distances to them.
     size = len(g.vertices)
     zero_row = bfs_distances(g, zero)
-    if (
-        size <= _EXHAUSTIVE_VERTICES
-        and _mask_bytes(size, (size - 1).bit_length()) <= graph_mod.DIAMETER_MEMORY_LIMIT
-    ):
+    if size <= _EXHAUSTIVE_VERTICES:
         everyone = range(size)
         pairs = dict.fromkeys(everyone, everyone)
         rows = _distance_rows(g)
@@ -629,159 +617,6 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
         )
 
     return summary, checks, all(ok for _, ok in checks)
-
-
-def _walk(start: Weight, p: int, walk: Callable, *args) -> tuple[int | None, Weight | None]:
-    """The length and the end of ``walk(builder, *args)`` from ``start``
-    when the builder certifies each of its blocks; else two Nones."""
-    b = _Builder(start, p)
-    try:
-        walk(b, *args)
-    except InvariantViolationError:
-        return None, None
-    return b.length, tuple(b.cur)
-
-
-def _swept(lam: Weight, p: int, route: tuple, walks: dict) -> tuple[int | None, Weight | None]:
-    """The length and the end of the sweep of ``route`` from lam, or two
-    Nones when it is not certified.  A sweep reads lam only through lam0
-    and the entries before its stop, and only adds a carry c to the entry
-    at stop (planner._sweep).  So it is walked once per (stop, lam0,
-    lam[:stop-1]), kept in ``walks``, from those entries and then zeros,
-    where its entry at stop ends as c.  lam0 is computed through
-    planner._lambda_zero, as plan_path computes it."""
-    upto, r, stop = route
-    lam0 = planner_mod._lambda_zero(lam, upto, r, p)
-    low = lam[: stop - 1]
-    key = stop, lam0, low
-    walk = walks.get(key)
-    if walk is None:
-        start = low + (0,) * (len(lam) - len(low))
-        walk = walks[key] = _walk(start, p, _sweep, lam0, stop)
-    length, end = walk
-    if end is None or stop > len(lam):  # not certified, or nothing above stop
-        return walk
-    c, entry = end[stop - 1], lam[stop - 1]
-    return length, end[: stop - 1] + (_rep(entry + c, p) if c else entry,) + lam[stop:]
-
-
-def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
-    """The longest plan over every ordered pair lam != mu, or None when
-    some walk is not certified; whether every such plan is within the
-    bound and each plan of a pair in ``pairs`` (source index -> target
-    indices) no shorter than its distance (``rows`` yields the distances
-    of each source to its targets, in the order of the sources); whether
-    plan(0,St) meets the bound; and the gap figures over ``pairs``.
-
-    Nothing is planned pair by pair.  The plan from lam to mu != lam is
-    the sweep of its route (planner._route, planner._sweep), the finish
-    on to K(key(mu)) (planner._after_sweep), then the suffix K(mu) -> mu
-    (planner._from_waypoint).  So each distinct sweep is walked once for
-    all sources (_swept), each finish once per (ell(lam), swept weight,
-    key) and each suffix once per vertex, each certified block by block
-    and checked to end where it must: two walks, the second starting
-    where the first ends, make a walk.  Each key keeps its two longest
-    suffixes, so a source's longest plan is its longest head plus the
-    longest suffix in the head's key to another vertex: O(keys) per
-    source.  A source's plan lengths are its heads by key plus the
-    suffixes, and its gaps those minus its distances, each list checked
-    whole.
-    """
-    from operator import add, sub
-    n, p, vertices = g.n, g.p, g.vertices
-    bound = length_bound(n, p)
-    numbers: dict[tuple, int] = {}  # key -> its number
-    kids = [numbers.setdefault(_waypoint_key(mu, p), len(numbers)) for mu in vertices]
-    keys = list(numbers)
-    waypoints = [_waypoint(key, n, p) for key in keys]
-    tails: list[int | None] = []
-    population = [0] * len(keys)
-    best = [[(-1, -1)] * 2 for _ in keys]  # per key: its two longest (suffix, target)
-    for j, (mu, c) in enumerate(zip(vertices, kids)):
-        length, end = _walk(waypoints[c], p, _from_waypoint, mu)
-        tails.append(length if end == mu else None)
-        population[c] += 1
-        if end == mu:
-            best[c] = sorted([*best[c], (length, j)])[1:]
-    certified = None not in tails
-    first = [top for _, (top, _) in best]
-    # The longest suffix in a vertex's key to another vertex: the key's
-    # longest, best[c][1], unless it is the vertex's own.
-    other = [best[c][best[c][1][1] != j][0] for j, c in enumerate(kids)]
-
-    routes: dict[int, list] = {}  # ell(lam) -> [(key number, key, K, route)]
-    walks: dict[tuple, tuple] = {}  # (stop, lam0, lam[:stop-1]) -> sweep (length, end)
-    finishes: dict[tuple, int | None] = {}  # (ell(lam), swept weight, key number) -> length
-    ok = True
-    longest = optimal = worst = total = 0
-    for i, lam in enumerate(vertices):
-        l_lam = _ell(lam, p)
-        if l_lam not in routes:
-            routes[l_lam] = [(c, k, waypoints[c], _route(l_lam, k, n)) for c, k in enumerate(keys)]
-        own = kids[i]
-        alone = population[own] == 1  # then the source's own key needs no head
-        sweeps: dict[tuple, tuple] = {}
-        heads: list[int | None] = [0] * len(keys)
-        for c, key, waypoint, route in routes[l_lam]:
-            if c == own and alone:
-                continue
-            sweep = sweeps.get(route)
-            if sweep is None:
-                sweep = sweeps[route] = _swept(lam, p, route, walks)
-            length, swept = sweep
-            if length is None:
-                heads[c] = None
-                continue
-            at = l_lam, swept, c
-            finish = finishes.get(at, -1)  # -1: not walked yet
-            if finish == -1:
-                finish, end = _walk(swept, p, _after_sweep, l_lam, key)
-                if end != waypoint:
-                    finish = None
-                finishes[at] = finish
-            heads[c] = None if finish is None else length + finish
-        if i == 0:
-            from_zero = heads
-        if not certified or None in heads:
-            certified = False
-            break
-        farthest = list(map(add, heads, first))
-        farthest[own] = 0 if alone else heads[own] + other[i]
-        longest = max(longest, *farthest)
-        if i not in pairs:
-            continue
-        js, row = pairs[i], next(rows)
-        if type(js) is range:  # every vertex, in order
-            ks, ts, selves = kids, tails, [i]
-        else:
-            ks, ts = map(kids.__getitem__, js), map(tails.__getitem__, js)
-            selves = [k for k, j in enumerate(js) if j == i]
-        lengths = list(map(add, map(heads.__getitem__, ks), ts))
-        for k in selves:  # the plan to itself is the empty one
-            lengths[k] = 0
-        # A certified walk reaches its target, so the distance must too.
-        if None in row:
-            ok = False
-            continue
-        gaps = list(map(sub, lengths, row))
-        ok = ok and min(gaps) >= 0
-        optimal += gaps.count(0)
-        worst = max(worst, *gaps)
-        total += sum(gaps)
-
-    # Vertices are in lexicographic order: zero first, Steinberg last.
-    head, tail = from_zero[kids[-1]], tails[-1]
-    exact = head is not None and tail is not None and head + tail == bound
-    ok = ok and certified and longest <= bound
-    longest = longest if certified else None
-    if not ok:
-        return longest, ok, exact, dict.fromkeys(("optimal_pairs", "worst_gap", "mean_gap"))
-    count = sum(len(js) for js in pairs.values())
-    return longest, ok, exact, {
-        "optimal_pairs": optimal,
-        "worst_gap": worst,
-        "mean_gap": round(total / count, 4),
-    }
 
 
 # ----------------------------------------------------------------- parser

@@ -1,5 +1,5 @@
 """The certified subgraph over all p-restricted weights: enumeration,
-BFS distances, diameter, and DOT/JSON/CSV export.
+BFS distances, diameter, and DOT/CSV export.
 
 Vertices are listed in lexicographic order, so indices are deterministic:
 weight w has index sum of w_i * p^(n-1-i), its entries read as base-p
@@ -69,19 +69,6 @@ class CertifiedGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self.adjacency)
-
-    def to_json_dict(self) -> dict:
-        """The graph as JSON data."""
-        return {
-            "n": self.n,
-            "p": self.p,
-            "vertices": [list(w) for w in self.vertices],
-            "edges": [
-                {"from": i, "to": j, "move": move.to_json_dict()}
-                for i, adj in enumerate(self.adjacency)
-                for move, j in adj
-            ],
-        }
 
 
 def build_certified_graph(

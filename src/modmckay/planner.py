@@ -42,14 +42,23 @@ walk on from K(mu) reads nothing of lam.  Each route is a sweep, a run
 of add_first and then clear_forward runs until the entries below a stop
 are zero, followed by a finish from the swept weight: fills, clear_last
 or one clear_forward run.  The first route's sweep reads nothing of the
-key, and a finish reads nothing of lam but ell(lam).  A sweep reads lam
-only through the entries below its stop and the residue it adds at the
-front, and only adds a carry to the entry at its stop.  So ``verify``
-certifies each distinct sweep once for all sources, each finish once per
-(ell(lam), swept weight, key) and one suffix per target, instead of a
-plan per pair.  The canonical path itself is such a walk: its stage j is
-travel(n-j) x (p-1), so from zero the planner reaches K(mu) by the same
-certified fills as from any weight with ell above ell(mu).
+key, and a finish reads nothing of lam but ell(lam).  The canonical path
+itself is such a walk: its stage j is travel(n-j) x (p-1), so from zero
+the planner reaches K(mu) by the same certified fills as from any weight
+with ell above ell(mu).  A sweep reads lam only through the entries
+below its stop and the residue it adds at the front, and only adds a
+carry to the entry at its stop.
+
+So the all-pairs certificate that ``verify`` runs (_check_plans) plans
+nothing pair by pair.  It walks each distinct sweep once for all
+sources, from the entries below its stop and then zeros, and reads a
+source's swept weight off that walk's carry (_swept).  It walks each
+finish once per (ell(lam), swept weight, key) and one suffix per target,
+each certified block by block and checked to end where it must: two
+walks, the second starting where the first ends, make a walk.  Each key
+keeps its two longest suffixes, so a source's longest plan is its
+longest head plus the longest suffix in the head's key to another
+vertex: one step per source and key.
 
 The finished walk must end at the target within the length bound.  A
 failed check raises InvariantViolationError rather than being silently
@@ -68,6 +77,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import add, sub
 
 from .moves import (
     _ADD_FIRST_MOVE,
@@ -428,6 +438,143 @@ def _from_waypoint(b: _Builder, mu: Weight) -> None:
     if not on_path:
         for x, k in _travels_from_M(mu, s):
             b.run(_TRAVEL, x, k)
+
+
+def _walk_length(start: Weight, p: int, walk: Callable, *args) -> tuple[int | None, Weight | None]:
+    """The length and the end of ``walk(builder, *args)`` from ``start``
+    when the builder certifies each of its blocks; else two Nones."""
+    b = _Builder(start, p)
+    try:
+        walk(b, *args)
+    except InvariantViolationError:
+        return None, None
+    return b.length, tuple(b.cur)
+
+
+def _swept(lam: Weight, p: int, route: tuple, walks: dict) -> tuple[int | None, Weight | None]:
+    """The length and the end of the sweep of ``route`` from lam, or two
+    Nones when it is not certified: the walk kept in ``walks`` under
+    (stop, lam0, lam[:stop-1]), with its carry added to lam's entry at
+    stop."""
+    upto, r, stop = route
+    lam0 = _lambda_zero(lam, upto, r, p)
+    low = lam[: stop - 1]
+    key = stop, lam0, low
+    walk = walks.get(key)
+    if walk is None:
+        start = low + (0,) * (len(lam) - len(low))
+        walk = walks[key] = _walk_length(start, p, _sweep, lam0, stop)
+    length, end = walk
+    if end is None or stop > len(lam):  # not certified, or nothing above stop
+        return walk
+    c, entry = end[stop - 1], lam[stop - 1]
+    return length, end[: stop - 1] + (_rep(entry + c, p) if c else entry,) + lam[stop:]
+
+
+def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
+    """The longest plan over every ordered pair lam != mu, or None when
+    some walk is not certified; whether every such plan is within the
+    bound and each plan of a pair in ``pairs`` (source index -> target
+    indices) no shorter than its distance (``rows`` yields the distances
+    of each source to its targets, in the order of the sources); whether
+    plan(0,St) meets the bound; and the gap figures over ``pairs``.  A
+    source's plan lengths are its heads by key plus the suffixes, and its
+    gaps those minus its distances, each list checked whole.
+    """
+    n, p, vertices = g.n, g.p, g.vertices
+    bound = length_bound(n, p)
+    numbers: dict[tuple, int] = {}  # key -> its number
+    kids = [numbers.setdefault(_waypoint_key(mu, p), len(numbers)) for mu in vertices]
+    keys = list(numbers)
+    waypoints = [_waypoint(key, n, p) for key in keys]
+    tails: list[int | None] = []
+    population = [0] * len(keys)
+    best = [[(-1, -1)] * 2 for _ in keys]  # per key: its two longest (suffix, target)
+    for j, (mu, c) in enumerate(zip(vertices, kids)):
+        length, end = _walk_length(waypoints[c], p, _from_waypoint, mu)
+        tails.append(length if end == mu else None)
+        population[c] += 1
+        if end == mu:
+            best[c] = sorted([*best[c], (length, j)])[1:]
+    certified = None not in tails
+    first = [top for _, (top, _) in best]
+    # The longest suffix in a vertex's key to another vertex: the key's
+    # longest, best[c][1], unless it is the vertex's own.
+    other = [best[c][best[c][1][1] != j][0] for j, c in enumerate(kids)]
+
+    routes: dict[int, list] = {}  # ell(lam) -> [(key number, key, K, route)]
+    walks: dict[tuple, tuple] = {}  # (stop, lam0, lam[:stop-1]) -> sweep (length, end)
+    finishes: dict[tuple, int | None] = {}  # (ell(lam), swept weight, key number) -> length
+    ok = True
+    longest = optimal = worst = total = 0
+    for i, lam in enumerate(vertices):
+        l_lam = _ell(lam, p)
+        if l_lam not in routes:
+            routes[l_lam] = [(c, k, waypoints[c], _route(l_lam, k, n)) for c, k in enumerate(keys)]
+        own = kids[i]
+        alone = population[own] == 1  # then the source's own key needs no head
+        sweeps: dict[tuple, tuple] = {}
+        heads: list[int | None] = [0] * len(keys)
+        for c, key, waypoint, route in routes[l_lam]:
+            if c == own and alone:
+                continue
+            sweep = sweeps.get(route)
+            if sweep is None:
+                sweep = sweeps[route] = _swept(lam, p, route, walks)
+            length, swept = sweep
+            if length is None:
+                heads[c] = None
+                continue
+            at = l_lam, swept, c
+            finish = finishes.get(at, -1)  # -1: not walked yet
+            if finish == -1:
+                finish, end = _walk_length(swept, p, _after_sweep, l_lam, key)
+                if end != waypoint:
+                    finish = None
+                finishes[at] = finish
+            heads[c] = None if finish is None else length + finish
+        if i == 0:
+            from_zero = heads
+        if not certified or None in heads:
+            certified = False
+            break
+        farthest = list(map(add, heads, first))
+        farthest[own] = 0 if alone else heads[own] + other[i]
+        longest = max(longest, *farthest)
+        if i not in pairs:
+            continue
+        js, row = pairs[i], next(rows)
+        if type(js) is range:  # every vertex, in order
+            ks, ts, selves = kids, tails, [i]
+        else:
+            ks, ts = map(kids.__getitem__, js), map(tails.__getitem__, js)
+            selves = [k for k, j in enumerate(js) if j == i]
+        lengths = list(map(add, map(heads.__getitem__, ks), ts))
+        for k in selves:  # the plan to itself is the empty one
+            lengths[k] = 0
+        # A certified walk reaches its target, so the distance must too.
+        if None in row:
+            ok = False
+            continue
+        gaps = list(map(sub, lengths, row))
+        ok = ok and min(gaps) >= 0
+        optimal += gaps.count(0)
+        worst = max(worst, *gaps)
+        total += sum(gaps)
+
+    # Vertices are in lexicographic order: zero first, Steinberg last.
+    head, tail = from_zero[kids[-1]], tails[-1]
+    exact = head is not None and tail is not None and head + tail == bound
+    ok = ok and certified and longest <= bound
+    longest = longest if certified else None
+    if not ok:
+        return longest, ok, exact, dict.fromkeys(("optimal_pairs", "worst_gap", "mean_gap"))
+    count = sum(len(js) for js in pairs.values())
+    return longest, ok, exact, {
+        "optimal_pairs": optimal,
+        "worst_gap": worst,
+        "mean_gap": round(total / count, 4),
+    }
 
 
 def _finish(b: _Builder, n: int, p: int, lam: Weight, mu: Weight) -> PathPlan:

@@ -1,11 +1,12 @@
 # The certified graph, the all-pairs distances and the CSV matrix as
 # modmckay.graph computed them before its index-range build and its
 # successor-mask traversal: one _successors call per vertex, one BFS per
-# source, rendered by csv.writer.  The slow, independent oracle for the
-# graph build, the diameter, the distance matrix and the planner's
-# admissibility tests.
-"""The per-vertex graph build, per-source BFS over every vertex, and the
-CSV matrix built from it."""
+# source, rendered by csv.writer; and a graph's JSON data as
+# CertifiedGraph.to_json_dict built it.  The slow, independent oracle for
+# the graph build, the diameter, the distance matrix, ``graph --format
+# json`` and the planner's admissibility tests.
+"""The per-vertex graph build, per-source BFS over every vertex, the CSV
+matrix built from it, and a graph's JSON data."""
 
 from __future__ import annotations
 
@@ -46,3 +47,17 @@ def distance_matrix_csv(g: CertifiedGraph) -> str:
     for w, row in zip(g.vertices, all_pairs_distances(g)):
         writer.writerow([format_weight(w)] + ["" if d is None else d for d in row])
     return buf.getvalue()
+
+
+def graph_json(g: CertifiedGraph) -> dict:
+    """The graph as JSON data: the payload of ``graph --format json``."""
+    return {
+        "n": g.n,
+        "p": g.p,
+        "vertices": [list(w) for w in g.vertices],
+        "edges": [
+            {"from": i, "to": j, "move": move.to_json_dict()}
+            for i, adj in enumerate(g.adjacency)
+            for move, j in adj
+        ],
+    }

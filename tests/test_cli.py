@@ -290,8 +290,8 @@ class TestVerifyCommand:
             raise InvariantViolationError("plan ends at (1,), wanted (0,)")
 
         # The walk to the waypoint: the route's sweep, then the finish.
-        monkeypatch.setattr(cli, "_sweep", broken)
-        monkeypatch.setattr(cli, "_after_sweep", broken)
+        monkeypatch.setattr(planner, "_sweep", broken)
+        monkeypatch.setattr(planner, "_after_sweep", broken)
         code, out, err = run(capsys, "verify", "--n", "2", "--p", "3")
         assert code == 1 and err == ""
         assert "FAIL  planner valid, admissible, within bound" in out
@@ -325,14 +325,14 @@ class TestVerifyCommand:
         [(g, pairs)] = seen
         sampled = {j for js in pairs.values() for j in js}
         target = next(w for j, w in enumerate(g.vertices) if j not in sampled and w[0])
-        real = cli._from_waypoint
+        real = planner._from_waypoint
 
         def overlong(b, mu):
             real(b, mu)
             if mu == target:
                 b.run(planner._TRAVEL, 1, planner.length_bound(3, 37))
 
-        monkeypatch.setattr(cli, "_from_waypoint", overlong)
+        monkeypatch.setattr(planner, "_from_waypoint", overlong)
         code, out, err = run(capsys, "verify", "--n", "3", "--p", "37")
         assert code == 1 and err == ""
         failed = [line[6:].rstrip() for line in out.splitlines() if line.startswith("FAIL")]
@@ -345,22 +345,24 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("n, p", [(4, 3), (2, 251)])
     def test_one_bfs_and_as_many_sweep_walks_as_vertices(self, capsys, monkeypatch, n, p):
         # Every pair is planned: the distances come from the matrix, and BFS
-        # runs once, for d(0,St).  Each distinct sweep is walked once for
-        # every source, from the entries below its stop and then zeros; on
-        # these instances that makes one walk per vertex.
+        # runs once, for d(0,St).  The certificate walks each distinct sweep
+        # once for every source, from the entries below its stop and then
+        # zeros; on these instances that makes one walk per vertex.  The
+        # plan from zero to Steinberg is planned whole, outside these walks.
         sources, sweeps = [], []
-        real_bfs, real_sweep = cli.bfs_distances, cli._sweep
+        real_bfs, real_walk = cli.bfs_distances, planner._walk_length
 
         def counting_bfs(g, source):
             sources.append(source)
             return real_bfs(g, source)
 
-        def counting_sweep(b, lam0, stop):
-            sweeps.append((tuple(b.cur), lam0, stop))
-            real_sweep(b, lam0, stop)
+        def counting_walk(start, p, walk, *args):
+            if walk is planner._sweep:
+                sweeps.append((start, *args))
+            return real_walk(start, p, walk, *args)
 
         monkeypatch.setattr(cli, "bfs_distances", counting_bfs)
-        monkeypatch.setattr(cli, "_sweep", counting_sweep)
+        monkeypatch.setattr(planner, "_walk_length", counting_walk)
         code, out, _ = run(capsys, "verify", "--n", str(n), "--p", str(p), "--format", "json")
         assert code == 0 and json.loads(out)["pair_mode"] == "exhaustive"
         assert sources == [(0,) * (n - 1)]
@@ -406,15 +408,18 @@ class TestVerifyCommand:
         def broken(b, mu):
             raise RuntimeError("planner bug")
 
-        monkeypatch.setattr(cli, "_from_waypoint", broken)
+        monkeypatch.setattr(planner, "_from_waypoint", broken)
         with pytest.raises(RuntimeError, match="planner bug"):
             main(["verify", "--n", "2", "--p", "3"])
 
-    def test_a_memory_limit_is_never_a_fail(self, capsys, monkeypatch):
-        # No distance matrix fits in one byte: the gap figures come from a
-        # sample, and the walks still prove connectivity and the diameter.
-        monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 1)
-        code, out, _ = run(capsys, "verify", "--n", "3", "--p", "2", "--format", "json")
+    def test_a_memory_limit_is_never_a_fail(self, capsys):
+        # Within the vertex limit every distance matrix fits the traversal's
+        # memory limit.  Above it the gap figures come from a sample, and the
+        # walks still prove connectivity and the diameter.
+        size = cli._EXHAUSTIVE_VERTICES
+        need = graph_mod._mask_bytes(size, (size - 1).bit_length())
+        assert need <= graph_mod.DIAMETER_MEMORY_LIMIT
+        code, out, _ = run(capsys, "verify", "--n", "3", "--p", "37", "--format", "json")
         payload = json.loads(out)
         assert code == 0 and payload["ok"] is True and payload["pair_mode"] == "sampled"
         assert all(check["ok"] for check in payload["checks"])
@@ -463,13 +468,13 @@ def overshooting_verify(capsys, monkeypatch, piece, n, p):
     swept weight the finish no longer reaches K, and a finish ends one move
     past K.  From zero to Steinberg the walk takes both pieces, so
     plan(0,St) fails too."""
-    real = getattr(cli, piece)
+    real = getattr(planner, piece)
 
     def overshooting(b, *args):
         real(b, *args)
         b.run(planner._TRAVEL, 1)
 
-    monkeypatch.setattr(cli, piece, overshooting)
+    monkeypatch.setattr(planner, piece, overshooting)
     code, out, err = run(capsys, "verify", "--n", n, "--p", p)
     assert code == 1 and err == ""
     assert "FAIL  planner valid, admissible, within bound" in out
@@ -505,7 +510,7 @@ _ORACLE_INSTANCES = [
 
 
 class TestPlannerCheckOracle:
-    """cli._check_plans, from shared sweeps, each key's longest suffixes and
+    """planner._check_plans, from shared sweeps, each key's longest suffixes and
     matrix rows, against the per-pair loop it replaced
     (tests/verify_oracle.py): the same longest plan, the same ok, the same
     plan(0,St) answer and the same gap figures."""
@@ -728,7 +733,8 @@ def _validate_payload(src, tgt, p) -> dict:
 
 
 # Every command whose JSON holds a long list, each with the payload that
-# json.dumps must reproduce, built from the objects' to_json_dict.
+# json.dumps must reproduce, built from the objects' to_json_dict or the
+# oracles.
 _COMMAND_CASES = [
     (_plan_args((1,), (1,), 2), 0, lambda: plan_path((1,), (1,), 2).to_json_dict()),  # empty
     (_plan_args((3,), (0,), 5), 0, lambda: plan_path((3,), (0,), 5).to_json_dict()),
@@ -736,7 +742,7 @@ _COMMAND_CASES = [
      lambda: plan_path((2, 2, 2), (0, 0, 0), 3).to_json_dict()),
     *[
         (["graph", "--n", str(n), "--p", str(p), "--format", "json"], 0,
-         lambda n=n, p=p: graph_oracle.build_certified_graph(n, p).to_json_dict())
+         lambda n=n, p=p: graph_oracle.graph_json(graph_oracle.build_certified_graph(n, p)))
         for n, p in ((3, 2), (6, 2), (5, 3))
     ],
     (["bfs", "--n", "3", "--p", "3", "--from", "1,2", "--format", "json"], 0,

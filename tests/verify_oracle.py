@@ -3,7 +3,7 @@
 # matrix and kept each waypoint key's longest suffixes: one prefix walk per
 # (source, key) through planner._to_waypoint, one BFS row per measured
 # source, and a Python loop over every ordered pair.  The slow oracle that
-# tests/test_cli.py compares cli._check_plans against.
+# tests/test_cli.py compares planner._check_plans against.
 """The planner check of ``verify``, pair by pair, against BFS rows."""
 
 from __future__ import annotations
