@@ -301,6 +301,61 @@ class TestDistanceMatrix:
             assert rows == [bfs_distances(g, w) for w in g.vertices]
 
 
+def assert_same_outcome(g):
+    """The traversal's diameter and CSV against the per-source BFS oracle:
+    both raise the same error, or both return the same value."""
+    try:
+        want = bfs_diameter(g)
+    except BudgetExceededError as expected:
+        with pytest.raises(BudgetExceededError) as exc:
+            subgraph_diameter(g)
+        assert str(exc.value).startswith(str(expected) + ";")
+    else:
+        assert subgraph_diameter(g) == want
+    assert sha256(distance_matrix_csv(g)) == sha256(graph_oracle.distance_matrix_csv(g))
+
+
+class TestOwnMaskRule:
+    """The traversal drops a row's own mask once its add_first successor
+    reaches it back; these pin that premise, and the fallback when a
+    graph breaks it."""
+
+    @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (5, 2), (3, 7), (4, 5), (6, 3)])
+    def test_add_first_returns_within_travel_cycle(self, n, p):
+        g = build_certified_graph(n, p)
+        for v, w in enumerate(g.vertices[1:], 1):
+            j = next(i for i, e in enumerate(w, 1) if e)
+            target = next(u for move, u in g.adjacency[v] if move.kind == "add_first")
+            assert bfs_distances(g, g.vertices[target])[v] <= j * (p - 1) - 1, w
+
+    @pytest.mark.parametrize("row,target", [(6, 0), (3, 1)])
+    def test_row_that_cannot_return_in_time(self, row, target):
+        # At (3, 3) the rows from 3 on drop their own mask in round 2, so
+        # each must be back within one move of its add_first successor.
+        # (2,0) sent to (0,0) is 2 moves from home, and the graph stays
+        # strongly connected; (1,0) sent to (0,1) never gets back.
+        certified = build_certified_graph(3, 3)
+        adjacency = list(certified.adjacency)
+        (move, _), other = adjacency[row]
+        adjacency[row] = ((move, target), other)
+        g = CertifiedGraph(n=3, p=3, vertices=certified.vertices, adjacency=tuple(adjacency))
+        assert bfs_distances(g, g.vertices[target])[row] in (2, None)
+        assert_same_outcome(g)
+        # Every round's masks are the balls of BFS, each of V rows.
+        rows = graph_oracle.all_pairs_distances(g)
+        for k, (_, after) in enumerate(graph_mod._rounds(g, 0, "the diameter")):
+            balls = [sum(1 << t for t, d in enumerate(row) if d is not None and d <= k) for row in rows]
+            assert after == balls, k
+
+    def test_successors_past_the_second(self):
+        # Vertex 0 has three successors and 3 is reached only through the third.
+        m = Move("add_first")
+        adjacency = (((m, 1), (m, 2), (m, 3)), ((m, 0),), ((m, 0),), ((m, 4),), ((m, 0),))
+        g = CertifiedGraph(n=2, p=5, vertices=tuple((i,) for i in range(5)), adjacency=adjacency)
+        assert subgraph_diameter(g) == (3, ((1,), (4,)))
+        assert_same_outcome(g)
+
+
 class TestExports:
     def test_graph_dot(self):
         g = build_certified_graph(2, 2)
