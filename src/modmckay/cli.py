@@ -10,14 +10,16 @@ handler: the help text, the option groups, the formats and whether
 ``--n`` is required.  The parser is built from that table.  A handler
 returns ``(payload, views, code)``: ``main`` renders ``--format json``
 from the payload, and every other format by calling the view of that
-name, so each output is built only when asked for.
+name, so each output is built only when asked for.  A view returns one
+string, or, for JSON and a walk's text, pieces that ``main`` writes as
+they come.
 
-JSON output is byte for byte ``json.dumps(payload, indent=2)``, written
-by ``_encode`` into one list of pieces.  The stdlib's indent encoder is
-pure Python, so the five long lists are functions in their payloads that
-append their own pieces.  A plan's moves come from a table of move
-labels per unit (``_moves_json``), and its waypoints from the text that
-PathPlan._render appends per block (``_waypoints_json``).  ``bfs``'s
+JSON output is byte for byte ``json.dumps(payload, indent=2)``, yielded
+piece by piece by ``_encode``.  The stdlib's indent encoder is pure
+Python, so the five long lists are functions in their payloads that
+yield their own pieces.  A plan's moves come from a table of move labels
+per unit (``_moves_json``), and its waypoints from the text that
+PathPlan._render yields per block (``_waypoints_json``).  ``bfs``'s
 distances and ``graph``'s vertices and edges are one f-string per item,
 their weights from cells cached per value (``_int_rows``).  The text and
 DOT views of a plan, and of ``canonical-path``, which renders the plan
@@ -36,7 +38,7 @@ import functools
 import json
 import random
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -163,30 +165,30 @@ _compact = json.JSONEncoder(check_circular=False).encode
 _SCALARS = (str, int, float, type(None))  # bool is an int
 
 
-def _encode(obj, indent: str, out: list[str]) -> None:
-    """Append the pieces of ``json.dumps(obj, indent=2)`` nested at
+def _encode(obj, indent: str) -> Iterator[str]:
+    """Yield the pieces of ``json.dumps(obj, indent=2)`` nested at
     ``indent`` (a newline and the spaces of the enclosing level).  A
-    function appends its own pieces, a nonempty dict renders member by
+    function yields its own pieces, a nonempty dict renders member by
     member (its keys are str), and a nonempty list of exact ints is one
     join.  Anything else is the stdlib's text, re-indented: JSON escapes a
     newline inside a string, so every raw newline in it is indentation."""
     if isinstance(obj, _SCALARS):
-        out.append(_compact(obj))
+        yield _compact(obj)
     elif callable(obj):  # a renderer of its own pieces, such as _waypoints_json's
-        obj(indent, out)
+        yield from obj(indent)
     elif isinstance(obj, dict) and obj:
         inner = indent + "  "
         sep = "{" + inner
         for key, value in obj.items():
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _encode(value, inner, out)
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _encode(value, inner)
             sep = "," + inner
-        out.append(indent + "}")
+        yield indent + "}"
     elif isinstance(obj, (list, tuple)) and obj and all(type(v) is int for v in obj):
         inner = indent + "  "
-        out.append("[" + inner + ("," + inner).join(map(str, obj)) + indent + "]")
+        yield "[" + inner + ("," + inner).join(map(str, obj)) + indent + "]"
     else:
-        out.append(json.dumps(obj, indent=2).replace("\n", indent))
+        yield json.dumps(obj, indent=2).replace("\n", indent)
 
 
 def _int_rows(rows, indent: str) -> list[str]:
@@ -198,23 +200,23 @@ def _int_rows(rows, indent: str) -> list[str]:
     return ["[" + ",".join(map(cells.__getitem__, row)) + close for row in rows]
 
 
-def _moves_json(plan: PathPlan, indent: str, out: list[str]) -> None:
-    """Append the plan's moves as a JSON list nested at ``indent``, from a
+def _moves_json(plan: PathPlan, indent: str) -> Iterator[str]:
+    """Yield the plan's moves as a JSON list nested at ``indent``, from a
     table of their texts per unit (PathPlan._labels)."""
     item = indent + "  "
     labels = plan._labels(lambda move: _move_json(move, item))
-    out.append("[" + item + ("," + item).join(labels) + indent + "]" if plan.blocks else "[]")
+    yield "[" + item + ("," + item).join(labels) + indent + "]" if plan.blocks else "[]"
 
 
-def _waypoints_json(plan: PathPlan, indent: str, out: list[str]) -> None:
-    """Append the pieces of the plan's waypoints as a JSON list nested at
-    ``indent``, from the text that PathPlan._render appends per block:
+def _waypoints_json(plan: PathPlan, indent: str) -> Iterator[str]:
+    """Yield the pieces of the plan's waypoints as a JSON list nested at
+    ``indent``, from the text that PathPlan._render yields per block:
     each row after the first is preceded by the close of the one before."""
     item = indent + "  "
     sep = item + "]," + item + "["
-    out.append("[" + item + "[")
-    plan._render(out, item + "  ", lambda move: sep)
-    out.append(item + "]" + indent + "]")
+    yield "[" + item + "["
+    yield from plan._render(item + "  ", lambda move: sep)
+    yield item + "]" + indent + "]"
 
 
 def _move_json(move: Move, indent: str) -> str:
@@ -228,14 +230,11 @@ def _move_json(move: Move, indent: str) -> str:
     return text + indent + "}"
 
 
-def _json(payload) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte; the
-    functions in the payload append their own pieces, only when JSON is
-    asked for."""
-    pieces: list[str] = []
-    _encode(payload, "\n", pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+def _json(payload) -> Iterator[str]:
+    """The pieces of ``json.dumps(payload, indent=2) + "\\n"``, byte for
+    byte; the functions in the payload yield their own pieces, only when
+    JSON is asked for."""
+    return chain(_encode(payload, "\n"), ("\n",))
 
 
 # ---------------------------------------------------------------- commands
@@ -288,20 +287,19 @@ def _check_walk(moves: int, n: int) -> None:
 
 
 def _walk_text(plan: PathPlan, sep: Callable[[Move], str] = lambda move: "\n",
-               head: str = "{}") -> str:
+               head: str = "{}") -> Iterator[str]:
     """``head`` with the source's row for its braces, then each later row
     led by ``sep`` of its move, and a newline."""
-    out: list[str] = []
-    plan._render(out, "", sep)
-    out[0] = head.format(out[0])
-    out.append("\n")
-    return "".join(out)
+    pieces = plan._render("", sep)
+    yield head.format(next(pieces))
+    yield from pieces
+    yield "\n"
 
 
 def _walk_dot(plan: PathPlan, name: str, label: Callable[[Move], str]) -> str:
     """The walk as a DOT path, each step named ``label`` of its move: the
     one view that needs each row on its own."""
-    return graph_mod.walk_to_dot(name, _walk_text(plan).splitlines(), plan._labels(label))
+    return graph_mod.walk_to_dot(name, "".join(_walk_text(plan)).splitlines(), plan._labels(label))
 
 
 @_command("canonical-path", "explicit zero-to-Steinberg path", "p",
@@ -393,19 +391,19 @@ def _cmd_plan(args):
 def _cmd_graph(args):
     g = build_certified_graph(args.n, args.p, args.budget)
 
-    def vertices(indent: str, out: list[str]) -> None:
+    def vertices(indent: str) -> Iterator[str]:
         item = indent + "  "
         rows = _int_rows(g.vertices, item)
-        out.append("[" + ",".join(item + row for row in rows) + indent + "]")
+        yield "[" + ",".join(item + row for row in rows) + indent + "]"
 
-    def edges(indent: str, out: list[str]) -> None:
+    def edges(indent: str) -> Iterator[str]:
         item = indent + "  "
         member = item + "  "
-        out.append("[" + ",".join(
+        yield "[" + ",".join(
             f'{item}{{{member}"from": {i},{member}"to": {j},'
             f'{member}"move": {_move_json(move, member)}{item}}}'
             for i, adj in enumerate(g.adjacency) for move, j in adj
-        ) + indent + "]")
+        ) + indent + "]"
 
     payload = {"n": g.n, "p": g.p, "vertices": vertices, "edges": edges}
     return payload, {
@@ -424,14 +422,14 @@ def _cmd_bfs(args):
         raise ValueError("bfs needs --from (or --format csv for the full matrix)")
     dist = bfs_distances(g, args.src)
 
-    def distances(indent: str, out: list[str]) -> None:
+    def distances(indent: str) -> Iterator[str]:
         item = indent + "  "
         member = item + "  "
-        out.append("[" + ",".join(
+        yield "[" + ",".join(
             f'{item}{{{member}"weight": {w},'
             f'{member}"distance": {"null" if d is None else d}{item}}}'
             for w, d in zip(_int_rows(g.vertices, member), dist)
-        ) + indent + "]")
+        ) + indent + "]"
 
     payload = {"n": args.n, "p": args.p, "source": args.src, "distances": distances}
     return payload, {"text": lambda: "".join(
@@ -504,10 +502,12 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
 
     The planner's certified walks give every ordered pair a walk within
     (p-1)(n^2-n)/2 (_check_plans), so the graph is strongly connected with
-    at most that diameter, and BFS finds d(0,St) equal to it.  Distances
-    only measure the gap figures: over every pair from the distance matrix
-    when it fits, else over sampled pairs from BFS rows, so no check fails
-    for memory.  The summary says what was measured: the vertex count, the
+    at most that diameter.  By the f-law, a walk from zero to St takes at
+    least f(St) - f(0) moves, the bound, and plan(0,St) meets it.
+    Distances measure the gap figures, over every pair from the distance
+    matrix when it fits, else over sampled pairs from BFS rows, so no
+    check fails for memory; d(0,St), measured in both modes, cross-checks
+    the bound.  The summary says what was measured: the vertex count, the
     pair mode ("exhaustive" or "sampled"), the number of measured pairs,
     the sample's seed (None when exhaustive), and how far their plans are
     from shortest: how many are shortest paths, and the worst and mean of
@@ -539,9 +539,9 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     )
 
     # The gap-measured pairs, as each source's vertex index mapped to the
-    # indices of its targets, and each source's distances to them.
+    # indices of its targets, and each source's distances to them.  Zero
+    # is vertex 0 and St the last, so (0,St) ends the first row.
     size = len(g.vertices)
-    zero_row = bfs_distances(g, zero)
     if size <= _EXHAUSTIVE_VERTICES:
         everyone = range(size)
         pairs = dict.fromkeys(everyone, everyone)
@@ -550,27 +550,27 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     else:
         seed = 20260811
         rng = random.Random(seed)
-        sample = [(rng.choice(g.vertices), rng.choice(g.vertices)) for _ in range(300)]
+        sample = [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
         pairs = {}
-        for a, b in sample + [(zero, st)]:
-            pairs.setdefault(g.index_of(a), []).append(g.index_of(b))
+        for i, j in sample + [(0, size - 1)]:
+            pairs.setdefault(i, []).append(j)
 
         def bfs_row(i: int) -> list[int | None]:
-            # Zero, vertex 0 in lexicographic order, has its row already.
-            row = zero_row if i == 0 else bfs_distances(g, g.vertices[i])
+            row = bfs_distances(g, g.vertices[i])
             return [row[j] for j in pairs[i]]
 
         rows = map(bfs_row, sorted(pairs))
         mode = "sampled"
+    first = next(rows)
+    reaches = first[-1] == bound
     summary = {
         "vertices": size,
         "pair_mode": mode,
         "pairs": sum(len(js) for js in pairs.values()),
         "seed": seed,
     }
-    longest, planner_ok, equality_ok, gaps = _check_plans(g, pairs, rows)
+    longest, planner_ok, equality_ok, gaps = _check_plans(g, pairs, chain([first], rows))
     summary.update(gaps)
-    reaches = zero_row[g.index_of(st)] == bound
     checks.append(("strongly connected", longest is not None))
     checks.append(("diameter equals (p-1)(n^2-n)/2", planner_ok and reaches))
     checks.append(("d(0,St) equals the bound", reaches))
@@ -666,19 +666,16 @@ def main(argv=None) -> int:
     try:
         _check_args(args, cmd)
         payload, views, code = cmd.handler(args)
-        out = _json(payload) if fmt == "json" else views[fmt]()
-    except (ValueError, BudgetExceededError, InvariantViolationError) as exc:
+        pieces = _json(payload) if fmt == "json" else views[fmt]()
+        pieces = [pieces] if isinstance(pieces, str) else pieces
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+    except (ValueError, BudgetExceededError, InvariantViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, InvariantViolationError) else 2
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(out)
     return code
 
 

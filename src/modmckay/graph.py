@@ -34,14 +34,14 @@ DIAMETER_MEMORY_LIMIT (1 GiB: about 65,000 vertices for the diameter,
 before anything is allocated.  ``verify`` proves the diameter from the
 planner's walks instead, and reads the matrix's lanes only to measure
 its gap figures on every pair.  Per-source BFS serves single rows:
-``bfs --from``, d(0, St) in ``verify``, and the pairs it samples.
+``bfs --from``, and the sources of the pairs that ``verify`` samples.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count, product, repeat
 from operator import xor
 
@@ -66,17 +66,19 @@ class CertifiedGraph:
     p: int
     vertices: tuple[Weight, ...]
     adjacency: tuple[tuple[tuple[Move, int], ...], ...]
-    _index: dict[Weight, int] = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index.update({w: i for i, w in enumerate(self.vertices)})
 
     def index_of(self, w: Weight) -> int:
+        """The index of vertex ``w``, its entries read as base-p digits;
+        ValueError when the vertex there is not ``w``."""
+        i = 0
         try:
-            return self._index[w]
-        except KeyError:
-            raise ValueError(f"{w} is not a vertex of this graph") from None
+            for m in w:
+                i = i * self.p + m
+            if 0 <= i < len(self.vertices) and self.vertices[i] == w:
+                return i
+        except TypeError:  # an entry or the index is no int
+            pass
+        raise ValueError(f"{w} is not a vertex of this graph")
 
     @property
     def edge_count(self) -> int:
@@ -114,9 +116,8 @@ def build_certified_graph(
             f"{count} = {p}^{n - 1} vertices exceed the budget of {budget}"
         )
     vertices = tuple(product(range(p), repeat=n - 1))
-    # Targets are slices of one list, so edges and index share one int per vertex.
+    # Targets are slices of one list, so the edges share one int per vertex.
     ids = list(range(count))
-    index = dict(zip(vertices, ids))
     powers = [p ** (n - 1 - i) for i in range(n)]  # P_0 = V, ..., P_(n-1) = 1
     first = zip(repeat(_ADD_FIRST_MOVE), _wrapped(ids, 0, count, powers[1]))
     # The clearing edges of v = 1, 2, ...: clear_last, then clear_forward(s)
@@ -129,9 +130,7 @@ def build_certified_graph(
             for base in range(0, powers[s - 1] - block, block)
         )
     adjacency = ((next(first),), *zip(first, chain.from_iterable(clearing)))
-    return CertifiedGraph(
-        n=n, p=p, vertices=vertices, adjacency=adjacency, _index=index
-    )
+    return CertifiedGraph(n=n, p=p, vertices=vertices, adjacency=adjacency)
 
 
 def _wrapped(ids: list[int], base: int, block: int, step: int) -> Iterator[int]:

@@ -223,10 +223,10 @@ class PathPlan:
         units = self._units(label)
         return chain.from_iterable(units[kind, at] * k for kind, at, k in self.blocks)
 
-    def _render(self, out: list[str], prefix: str, sep: Callable[[Move], str]) -> None:
-        """Append the walk's text to ``out``: the source's row, then each
-        later row led by ``sep`` of the move that reaches it.  A row is its
-        weight's cells, ``prefix`` and the digits, joined by commas.  By a
+    def _render(self, prefix: str, sep: Callable[[Move], str]) -> Iterator[str]:
+        """Yield the walk's text, block by block: the source's row, then
+        each later row led by ``sep`` of the move that reaches it.  A row is
+        its weight's cells, ``prefix`` and the digits, joined by commas.  By a
         block's precondition, zeros before ``at``, no row is a string of
         its own: a clearing run or travel(1) is one join of the one or two
         cells it changes, between a fixed head and tail, and a repeat of
@@ -239,7 +239,7 @@ class PathPlan:
         zero = prefix + "0,"
         cur = list(self.source)
         row = [prefix + str(v) for v in cur]
-        out.append(",".join(row))
+        yield ",".join(row)
         for kind, at, k in self.blocks:
             i, e, unit = at - 1, cur[at - 1], seps[kind, at]
             pre = unit[-1] + zero * i + prefix  # the start of a row that changes entry at
@@ -247,11 +247,11 @@ class PathPlan:
             if kind == CLEAR_FORWARD:  # entry at runs down from e, the next up from c
                 c = cur[at]
                 cells = [f"{e - j},{prefix}{(c + j - 1) % q + 1}" for j in range(1, k + 1)]
-                out += pre, (tail + pre).join(cells), tail
+                yield from (pre, (tail + pre).join(cells), tail)
             elif kind == CLEAR_LAST or at == 1:  # the tail of clear_last is empty
                 values = range(e - 1, e - k - 1, -1) if kind == CLEAR_LAST else (
                     v % q + 1 for v in range(e, e + k))
-                out += pre, (tail + pre).join(map(str, values)), tail
+                yield from (pre, (tail + pre).join(map(str, values)), tail)
             else:
                 group = leads.get(at)
                 if group is None:
@@ -265,9 +265,10 @@ class PathPlan:
                 # Entry x runs through e, rep(e+1), ..., rep(e+k).  The
                 # first value's all-zero row is the weight before the block
                 # and its last value's slides belong to the next repeat.
-                out.append((prefix + str(e) + tail).join(group[1:]))
-                out += [(prefix + str(v % q + 1) + tail).join(group) for v in range(e, e + k - 1)]
-                out += pre, str((e + k - 1) % q + 1), tail
+                yield (prefix + str(e) + tail).join(group[1:])
+                for v in range(e, e + k - 1):
+                    yield (prefix + str(v % q + 1) + tail).join(group)
+                yield from (pre, str((e + k - 1) % q + 1), tail)
             for j in _effect(cur, kind, at, k, self.p):
                 row[j] = prefix + str(cur[j])
 

@@ -60,8 +60,8 @@ def format_weight(w: Weight) -> str:
 
 
 def _scaled_coeffs(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """n * (root coefficients) of an arbitrary integer vector of weight
-    coordinates; entries may be negative (used for weight differences).
+    """n * (root coefficients) of a vector of weight coordinates, which
+    to_scaled_root_coeffs has checked.
 
     Closed form n*c_j = sum_i min(i,j) * (n - max(i,j)) * m_i, evaluated in
     O(n) via the split

@@ -10,8 +10,8 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from modmckay.char0 import char0_distance, lr_neighbors
-from modmckay.conormal import addable_indices, conormal_indices
-from modmckay.graph import build_certified_graph
+from modmckay.conormal import addable_indices, bk_children, conormal_indices
+from modmckay.graph import CertifiedGraph, build_certified_graph
 from modmckay.moves import _certify, certified_moves, validate_move
 from modmckay.planner import length_bound, plan_path
 from modmckay.weights import (
@@ -224,3 +224,34 @@ def test_criterion_8_algebraic_identities():
         for p in range(2, 51):
             assert f_value(steinberg_weight(n, p)) == (p - 1) * n * (n - 1) // 2
     print("ACCEPTANCE 8 algebraic identities: PASS")
+
+
+# The f-law supergraphs below, each with its count of conormal children
+# that are not p-restricted.
+SUPERGRAPH_INSTANCES = {(3, 5): 9, (5, 3): 73, (4, 5): 62, (6, 3): 254}
+
+
+def test_criterion_9_scope_on_an_f_law_supergraph():
+    # The scope note: on an edge set E that holds the certified edges and
+    # obeys the f-law, the certified walks bound every distance, and f
+    # bounds d_E(0, St) from below, so E has the same diameter.  Here E adds
+    # every p-restricted conormal child (bk_children) to the certified edges.
+    for (n, p), outside in SUPERGRAPH_INSTANCES.items():
+        g = build_certified_graph(n, p)
+        heads = [{j for _, j in adj} for adj in g.adjacency]
+        children = [
+            (i, child)
+            for i, w in enumerate(g.vertices)
+            for _, child in bk_children(weight_to_partition(w), p)
+        ]
+        restricted = [(i, child) for i, child in children if max(child) < p]
+        assert len(children) - len(restricted) == outside, (n, p)
+        for i, child in restricted:
+            heads[i].add(g.index_of(child))
+        fs = [f_value(w) for w in g.vertices]
+        assert all(fs[j] <= fs[i] + 1 for i, js in enumerate(heads) for j in js), (n, p)
+        adjacency = tuple(tuple((None, j) for j in sorted(js)) for js in heads)
+        rows = all_pairs_distances(CertifiedGraph(n, p, g.vertices, adjacency))
+        assert all(None not in row for row in rows), (n, p)
+        assert max(map(max, rows)) == rows[0][-1] == length_bound(n, p), (n, p)
+    print("ACCEPTANCE 9 diameter on an f-law supergraph: PASS")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -343,12 +344,13 @@ class TestVerifyCommand:
         assert "PASS  strongly connected" in out
 
     @pytest.mark.parametrize("n, p", [(4, 3), (2, 251)])
-    def test_one_bfs_and_as_many_sweep_walks_as_vertices(self, capsys, monkeypatch, n, p):
-        # Every pair is planned: the distances come from the matrix, and BFS
-        # runs once, for d(0,St).  The certificate walks each distinct sweep
-        # once for every source, from the entries below its stop and then
-        # zeros; on these instances that makes one walk per vertex.  The
-        # plan from zero to Steinberg is planned whole, outside these walks.
+    def test_no_bfs_and_as_many_sweep_walks_as_vertices(self, capsys, monkeypatch, n, p):
+        # Every pair is planned: the distances, d(0,St) among them, come
+        # from the matrix, and no BFS runs.  The certificate walks each
+        # distinct sweep once for every source, from the entries below its
+        # stop and then zeros; on these instances that makes one walk per
+        # vertex.  The plan from zero to Steinberg is planned whole, outside
+        # these walks.
         sources, sweeps = [], []
         real_bfs, real_walk = cli.bfs_distances, planner._walk_length
 
@@ -365,7 +367,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(planner, "_walk_length", counting_walk)
         code, out, _ = run(capsys, "verify", "--n", str(n), "--p", str(p), "--format", "json")
         assert code == 0 and json.loads(out)["pair_mode"] == "exhaustive"
-        assert sources == [(0,) * (n - 1)]
+        assert sources == []
         assert len(sweeps) == len(set(sweeps)) == p ** (n - 1)
         assert all(not any(start[stop - 1 :]) for start, _, stop in sweeps)
 
@@ -647,6 +649,44 @@ class TestOutputHandling:
         assert code == 2 and out == ""
         assert err == "error: [Errno 28] No space left on device\n"
 
+    def test_failed_stdout_write_exits_2(self, capsys, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code, _, err = run(capsys, "plan", "--p", "3", "--from", "0,0", "--to", "2,2",
+                           "--format", "json")
+        assert code == 2 and err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("fmt, limit", [("json", 2), ("text", 0.5)])
+    def test_a_long_plan_streams_to_its_file(self, capsys, tmp_path, fmt, limit):
+        # The 7,800-move plan from zero to Steinberg at (40,11) is written
+        # block by block: built whole, its JSON peaked at 6.5 MiB and its
+        # text at 1.7 MiB; streamed they measure about 1.1 and 0.15 MiB.
+        argv = ["plan", "--p", "11", "--from", ",".join(["0"] * 39),
+                "--to", ",".join(["10"] * 39), "--format", fmt]
+        target = tmp_path / f"plan.{fmt}"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--output", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < limit * 2**20
+        assert run(capsys, *argv) == (0, target.read_text(), "")
+
+    def test_a_refused_matrix_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        # The CSV view is built whole before the file is opened, so a matrix
+        # over the memory limit is refused with no file left behind.
+        monkeypatch.setattr(graph_mod, "DIAMETER_MEMORY_LIMIT", 10)
+        target = tmp_path / "matrix.csv"
+        code, out, err = run(capsys, "bfs", "--n", "3", "--p", "3", "--format", "csv",
+                             "--output", str(target))
+        assert (code, out) == (2, "") and err.startswith("error:")
+        assert not target.exists()
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "graph", "--n", "3", "--p", "3", "--format", "json")
         _, second, _ = run(capsys, "graph", "--n", "3", "--p", "3", "--format", "json")
@@ -769,7 +809,7 @@ class TestJsonEncoder:
     @settings(max_examples=300, deadline=None)
     @given(_PAYLOADS)
     def test_matches_json_dumps(self, payload):
-        assert cli._json(payload) == _dumps(payload)
+        assert "".join(cli._json(payload)) == _dumps(payload)
 
     # The long lists of every command render themselves: the output must
     # be json.dumps of the payload that to_json_dict describes.
@@ -817,7 +857,7 @@ class TestJsonEncoder:
         [{"a": 1}, {"a": [1]}], [{1: 2}], [{"a": 1}, [1]], [{"a": [_ADD_FIRST]}],
     ])
     def test_record_fallbacks_match_json_dumps(self, payload):
-        assert cli._json(payload) == _dumps(payload)
+        assert "".join(cli._json(payload)) == _dumps(payload)
 
     @pytest.mark.parametrize("payload", [
         [], {}, (), [[]], [{}], {"": []}, [1, [2]], [1, "a, b"], [1, _ADD_FIRST],
@@ -835,13 +875,13 @@ class TestJsonEncoder:
         [plan_path((2, 2, 2), (0, 0, 0), 3).to_json_dict()] * 2,
     ])
     def test_edge_cases_match_json_dumps(self, payload):
-        assert cli._json(payload) == _dumps(payload)
+        assert "".join(cli._json(payload)) == _dumps(payload)
 
     def test_bad_key_is_type_error(self):
         # Payload keys are str literals; another key is refused, not
         # rendered wrong.
         with pytest.raises(TypeError):
-            cli._json({(1, 2): 0})
+            "".join(cli._json({(1, 2): 0}))
 
     def test_rendering_leaves_no_garbage_cycles(self, capsys):
         argv = _plan_args((0,) * 19, steinberg_weight(20, 7), 7)

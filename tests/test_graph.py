@@ -85,6 +85,28 @@ class TestBuild:
         with pytest.raises(ValueError):
             g.index_of((9, 9))
 
+    @pytest.mark.parametrize("n, p", [(2, 5), (3, 2), (3, 7), (4, 3)])
+    def test_index_of_reads_base_p_digits(self, n, p):
+        g = build_certified_graph(n, p)
+        for i, w in enumerate(g.vertices):
+            assert g.index_of(w) == i == sum(m * p ** (n - 2 - k) for k, m in enumerate(w))
+
+    # At (3,3): weights an entry short and an entry long, read as 1 and 12;
+    # entries of 3 and 4, read as 9 and 4; a list; a negative entry; entries
+    # that are no ints.
+    @pytest.mark.parametrize("w", [
+        (1,), (1, 1, 0), (3, 0), (0, 4), [1, 1], (-1, 2), ("1", "1"), (1.0, 1.0),
+    ], ids=str)
+    def test_index_of_refuses_what_is_no_vertex(self, w):
+        with pytest.raises(ValueError, match="not a vertex"):
+            build_certified_graph(3, 3).index_of(w)
+
+    def test_index_of_refuses_a_weight_a_hand_built_graph_lacks(self):
+        g = CertifiedGraph(n=2, p=5, vertices=((0,), (1,), (2,)), adjacency=((), (), ()))
+        assert g.index_of((2,)) == 2
+        with pytest.raises(ValueError, match="not a vertex"):
+            g.index_of((3,))
+
 
 # Every (n, p) with n = 2..8, p in {2, 3, 4, 5, 6, 7, 11} and at most
 # 40,000 vertices, and a long n = 2 path.

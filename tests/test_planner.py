@@ -391,7 +391,7 @@ def dot(name, rows, labels):
 
 class TestRowsMatchTheOracle:
     """Every walk view, the plan and canonical-path commands' text, JSON
-    and DOT, renders the text that PathPlan._render appends per block.
+    and DOT, renders the text that PathPlan._render yields per block.
     The oracle (planner_oracle.rows) steps the rows move by move, and each
     view must equal them joined with its separators."""
 
@@ -414,20 +414,21 @@ class TestRowsMatchTheOracle:
         with mock.patch.object(cli, "plan_path", lambda *args: plan):
             args = argparse.Namespace(src=plan.source, tgt=plan.target, p=p, n=n)
             payload, views, _ = cli._cmd_plan(args)
-            assert cli._json(payload) == expected_json({
+            assert "".join(cli._json(payload)) == expected_json({
                 "n": n, "p": p, "source": list(plan.source), "target": list(plan.target),
                 "length": plan.length, "moves": [move.to_json_dict() for move in moves],
             })
             steps = "".join(f"\n{move} -> {row}" for move, row in zip(moves, rows[1:]))
-            assert views["text"]() == (
+            assert "".join(views["text"]()) == (
                 f"source {rows[0]}\ntarget {format_weight(plan.target)}\n"
                 f"length {plan.length}{steps}\n"
             )
             assert views["dot"]() == dot(f"plan_n{n}_p{p}", rows, map(str, moves))
 
             payload, views, _ = cli._cmd_canonical_path(args)
-            assert cli._json(payload) == expected_json({"n": n, "p": p, "length": plan.length})
-            assert views["text"]() == "".join(row + "\n" for row in rows)
+            want = expected_json({"n": n, "p": p, "length": plan.length})
+            assert "".join(cli._json(payload)) == want
+            assert "".join(views["text"]()) == "".join(row + "\n" for row in rows)
             labels = ("a" if move.s is None else f"b({move.s})" for move in moves)
             assert views["dot"]() == dot(f"canonical_n{n}_p{p}", rows, labels)
 
