@@ -11,8 +11,8 @@ handler: the help text, the option groups, the formats and whether
 returns ``(payload, views, code)``: ``main`` renders ``--format json``
 from the payload, and every other format by calling the view of that
 name, so each output is built only when asked for.  A view returns one
-string, or, for JSON and a walk's text, pieces that ``main`` writes as
-they come.
+string, or, for JSON, DOT and a walk's text, pieces that ``main`` writes
+as they come.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``, yielded
 piece by piece by ``_encode``.  The stdlib's indent encoder is pure
@@ -23,7 +23,8 @@ PathPlan._render yields per block (``_waypoints_json``).  ``bfs``'s
 distances and ``graph``'s vertices and edges are one f-string per item,
 their weights from cells cached per value (``_int_rows``).  The text and
 DOT views of a plan, and of ``canonical-path``, which renders the plan
-from zero to the Steinberg weight, come from that renderer too.
+from zero to the Steinberg weight, come from that renderer too.  Every
+DOT view yields its lines from one generator, ``_dot``.
 
 Exit codes: 0 success; 1 verification failure (``verify``,
 ``validate``) or a planner invariant violation, reported as ``error:``
@@ -38,14 +39,14 @@ import functools
 import json
 import random
 import sys
-from collections.abc import Callable, Iterator
-from itertools import chain
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import graph as graph_mod
 from .char0 import _A, _b, char0_distance, lr_neighbors
-from .conormal import _rows, addable_indices, conormal_indices, removable_indices
+from .conormal import _rows
 from .graph import (
     BudgetExceededError,
     _distance_rows,
@@ -237,6 +238,16 @@ def _json(payload) -> Iterator[str]:
     return chain(_encode(payload, "\n"), ("\n",))
 
 
+def _dot(name: str, nodes: Iterable[str], edges: Iterable[tuple]) -> Iterator[str]:
+    """Yield a DOT digraph line by line: the header, each distinct node at
+    its first place in ``nodes``, each (tail, head, label) of ``edges`` in
+    order, and the close."""
+    yield f"digraph {name} {{\n"
+    yield from (f'  "{node}";\n' for node in dict.fromkeys(nodes))
+    yield from (f'  "{a}" -> "{b}" [label="{label}"];\n' for a, b, label in edges)
+    yield "}\n"
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -266,9 +277,14 @@ def _cmd_lr_neighbors(args):
     neighbors = sorted(lr_neighbors(w))
     edges = [{"kind": k, "weight": t} for k, t in neighbors]
     payload = {"weight": w, "neighbors": edges}
+
+    def dot() -> Iterator[str]:
+        arcs = [(format_weight(w), format_weight(t), k) for k, t in neighbors]
+        return _dot("neighbors", [format_weight(w), *(b for _, b, _ in arcs)], arcs)
+
     return payload, {
         "text": lambda: "".join(f"{k} -> {format_weight(t)}\n" for k, t in neighbors),
-        "dot": lambda: graph_mod.neighbors_to_dot(w, set(neighbors)),
+        "dot": dot,
     }, 0
 
 
@@ -296,10 +312,18 @@ def _walk_text(plan: PathPlan, sep: Callable[[Move], str] = lambda move: "\n",
     yield "\n"
 
 
-def _walk_dot(plan: PathPlan, name: str, label: Callable[[Move], str]) -> str:
-    """The walk as a DOT path, each step named ``label`` of its move: the
-    one view that needs each row on its own."""
-    return graph_mod.walk_to_dot(name, "".join(_walk_text(plan)).splitlines(), plan._labels(label))
+def _walk_dot(plan: PathPlan, name: str, label: Callable[[Move], str]) -> Iterator[str]:
+    """The walk as a DOT path, each step named ``label`` of its move; a
+    vertex visited twice keeps one node, and a walk of one waypoint renders
+    that vertex.  The rows are split from the pieces of PathPlan._render as
+    they arrive.  The node list holds every distinct row anyway, so the
+    rows are kept for the edges rather than rendered twice."""
+    rows, row = [], ""
+    for piece in plan._render("", lambda move: "\n"):
+        *done, row = (row + piece).split("\n")
+        rows += done
+    rows.append(row)
+    return _dot(name, rows, zip(rows, islice(rows, 1, None), plan._labels(label)))
 
 
 @_command("canonical-path", "explicit zero-to-Steinberg path", "p",
@@ -330,9 +354,7 @@ def _cmd_char0_dist(args):
           "p", "weight", formats=("text", "json"))
 def _cmd_conormal(args):
     parts = weight_to_partition(args.weight)
-    add = sorted(addable_indices(parts))
-    rem = sorted(removable_indices(parts))
-    con = sorted(conormal_indices(parts, args.p))
+    add, rem, con = _rows(parts, args.p)  # each in ascending order
     payload = {
         "weight": args.weight,
         "partition": parts,
@@ -405,10 +427,15 @@ def _cmd_graph(args):
             for i, adj in enumerate(g.adjacency) for move, j in adj
         ) + indent + "]"
 
+    def dot() -> Iterator[str]:
+        names = [format_weight(w) for w in g.vertices]
+        arcs = ((names[i], names[j], m) for i, adj in enumerate(g.adjacency) for m, j in adj)
+        return _dot(f"certified_n{g.n}_p{g.p}", names, arcs)
+
     payload = {"n": g.n, "p": g.p, "vertices": vertices, "edges": edges}
     return payload, {
         "text": lambda: f"vertices {len(g.vertices)}\nedges {g.edge_count}\n",
-        "dot": lambda: graph_mod.graph_to_dot(g),
+        "dot": dot,
     }, 0
 
 

@@ -1,5 +1,5 @@
 """The certified subgraph over all p-restricted weights: enumeration,
-BFS distances, diameter, and DOT/CSV export.
+BFS distances, diameter, and the all-pairs distance matrix as CSV.
 
 Vertices are listed in lexicographic order, so indices are deterministic:
 weight w has index sum of w_i * p^(n-1-i), its entries read as base-p
@@ -40,7 +40,7 @@ its gap figures on every pair.  Per-source BFS serves single rows:
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, count, product, repeat
 from operator import xor
@@ -256,40 +256,6 @@ def subgraph_diameter(g: CertifiedGraph) -> tuple[int, tuple[Weight, Weight]]:
         )
     i, j = _first_hole(before, full)  # a lone vertex is its own farthest vertex
     return rounds, (g.vertices[i], g.vertices[j])
-
-
-def _dot(name: str, nodes: list[str], edges: list[tuple[str, str, str]]) -> str:
-    """A node listed twice is written once, at its first place."""
-    lines = [f"digraph {name} {{"]
-    lines += [f'  "{node}";' for node in dict.fromkeys(nodes)]
-    lines += [f'  "{a}" -> "{b}" [label="{label}"];' for a, b, label in edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_dot(g: CertifiedGraph) -> str:
-    """Deterministic DOT rendering with move-kind edge labels."""
-    nodes = [format_weight(w) for w in g.vertices]
-    edges = [
-        (nodes[i], nodes[j], str(move)) for i, adj in enumerate(g.adjacency) for move, j in adj
-    ]
-    return _dot(f"certified_n{g.n}_p{g.p}", nodes, edges)
-
-
-def walk_to_dot(name: str, nodes: Iterable[str], labels: Iterable[str]) -> str:
-    """A walk as a DOT path through its waypoints' formatted ``nodes``,
-    with one label per step; a vertex visited twice keeps one node, and a
-    walk of one waypoint renders that vertex."""
-    names = list(nodes)
-    return _dot(name, names, list(zip(names, names[1:], labels)))
-
-
-def neighbors_to_dot(w: Weight, neighbors: set[tuple[str, Weight]]) -> str:
-    """The out-star of a vertex, e.g. characteristic-0 neighbours with
-    their a / b(i) / c labels."""
-    center = format_weight(w)
-    edges = [(center, format_weight(nb), kind) for kind, nb in sorted(neighbors)]
-    return _dot("neighbors", [center] + [nb for _, nb, _ in edges], edges)
 
 
 def _distance_planes(g: CertifiedGraph) -> tuple[list[list[int]], int]:

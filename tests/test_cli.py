@@ -119,11 +119,13 @@ class TestCanonicalPathCommand:
         assert capsys.readouterr() == ("", "")
         assert kept < 1 << 20
 
-    @pytest.mark.parametrize("fmt, limit", [("text", 8.25), ("json", 10.35)])
+    @pytest.mark.parametrize("fmt, limit", [("text", 8.25), ("json", 10.35), ("dot", 14.6)])
     def test_peak_memory(self, tmp_path, capsys, fmt, limit):
         # A 100,002-move walk at n = 2 is one travel(1) block, rendered as
         # one join of its cells' digits.  The peak measured 6.6 MiB in text
-        # and 8.3 MiB in JSON; the limits leave 25% over that.
+        # and 8.3 MiB in JSON; the limits leave 25% over that.  DOT keeps
+        # one string per row for its node list and edges: 11.7 MiB, where
+        # the rows split from the walk's whole text took 38.0 MiB.
         gc.collect()
         tracemalloc.start()
         try:
@@ -659,11 +661,12 @@ class TestOutputHandling:
                            "--format", "json")
         assert code == 2 and err == "error: [Errno 32] Broken pipe\n"
 
-    @pytest.mark.parametrize("fmt, limit", [("json", 2), ("text", 0.5)])
+    @pytest.mark.parametrize("fmt, limit", [("json", 2), ("text", 0.5), ("dot", 2)])
     def test_a_long_plan_streams_to_its_file(self, capsys, tmp_path, fmt, limit):
         # The 7,800-move plan from zero to Steinberg at (40,11) is written
-        # block by block: built whole, its JSON peaked at 6.5 MiB and its
-        # text at 1.7 MiB; streamed they measure about 1.1 and 0.15 MiB.
+        # block by block: built whole, its JSON peaked at 6.5 MiB, its
+        # text at 1.7 MiB and its DOT at 9.6 MiB; streamed they measure
+        # about 1.1, 0.15 and 1.4 MiB, DOT's mostly its 7,801 rows.
         argv = ["plan", "--p", "11", "--from", ",".join(["0"] * 39),
                 "--to", ",".join(["10"] * 39), "--format", fmt]
         target = tmp_path / f"plan.{fmt}"

@@ -14,14 +14,11 @@ from modmckay.graph import (
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
-    graph_to_dot,
-    neighbors_to_dot,
     subgraph_diameter,
 )
 from modmckay.moves import Move
 from modmckay.planner import length_bound
 from modmckay.weights import f_value, steinberg_weight
-from modmckay.char0 import lr_neighbors
 
 
 class TestEnumerate:
@@ -379,13 +376,14 @@ class TestOwnMaskRule:
 
 
 class TestExports:
-    def test_graph_dot(self):
-        g = build_certified_graph(2, 2)
-        dot = graph_to_dot(g)
+    def test_graph_dot(self, capsys):
+        assert main(["graph", "--n", "2", "--p", "2", "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
         assert dot.startswith("digraph certified_n2_p2 {")
         assert '"1" -> "1" [label="add_first"];' in dot
         assert '"1" -> "0" [label="clear_last"];' in dot
-        assert dot == graph_to_dot(g)  # deterministic
+        assert main(["graph", "--n", "2", "--p", "2", "--format", "dot"]) == 0
+        assert dot == capsys.readouterr().out  # deterministic
 
     def test_empty_plan_dot_has_isolated_node(self, capsys):
         assert main(["plan", "--p", "2", "--from", "1,0", "--to", "1,0", "--format", "dot"]) == 0
@@ -399,8 +397,9 @@ class TestExports:
         assert '"0,0" -> "1,0" [label="add_first"];' in dot
         assert '"1,0" -> "0,1" [label="clear_forward(1)"];' in dot
 
-    def test_neighbors_dot(self):
-        dot = neighbors_to_dot((1, 1), lr_neighbors((1, 1)))
+    def test_neighbors_dot(self, capsys):
+        assert main(["lr-neighbors", "--weight", "1,1", "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
         assert '"1,1" -> "1,0" [label="c"];' in dot
 
     def test_csv_matrix(self):

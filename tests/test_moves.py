@@ -272,8 +272,7 @@ _PUBLIC = {
     "planner": ["InvariantViolationError", "PathPlan", "length_bound", "plan_path"],
     "graph": [
         "BudgetExceededError", "CertifiedGraph", "bfs_distances",
-        "build_certified_graph", "distance_matrix_csv", "graph_to_dot",
-        "neighbors_to_dot", "subgraph_diameter", "walk_to_dot",
+        "build_certified_graph", "distance_matrix_csv", "subgraph_diameter",
     ],
     "cli": ["main", "run_verification"],
 }

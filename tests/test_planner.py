@@ -423,14 +423,14 @@ class TestRowsMatchTheOracle:
                 f"source {rows[0]}\ntarget {format_weight(plan.target)}\n"
                 f"length {plan.length}{steps}\n"
             )
-            assert views["dot"]() == dot(f"plan_n{n}_p{p}", rows, map(str, moves))
+            assert "".join(views["dot"]()) == dot(f"plan_n{n}_p{p}", rows, map(str, moves))
 
             payload, views, _ = cli._cmd_canonical_path(args)
             want = expected_json({"n": n, "p": p, "length": plan.length})
             assert "".join(cli._json(payload)) == want
             assert "".join(views["text"]()) == "".join(row + "\n" for row in rows)
             labels = ("a" if move.s is None else f"b({move.s})" for move in moves)
-            assert views["dot"]() == dot(f"canonical_n{n}_p{p}", rows, labels)
+            assert "".join(views["dot"]()) == dot(f"canonical_n{n}_p{p}", rows, labels)
 
     @pytest.mark.parametrize("source, p, runs", [
         # p = 2: rep is 1, so add_first at a 1 is a self-loop.
