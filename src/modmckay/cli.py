@@ -21,10 +21,10 @@ yield their own pieces.  A plan's moves come from a table of move labels
 per unit (``_moves_json``), and its waypoints from the text that
 PathPlan._render yields per block (``_waypoints_json``).  ``bfs``'s
 distances and ``graph``'s vertices and edges are one f-string per item,
-their weights from cells cached per value (``_int_rows``).  The text and
-DOT views of a plan, and of ``canonical-path``, which renders the plan
-from zero to the Steinberg weight, come from that renderer too.  Every
-DOT view yields its lines from one generator, ``_dot``.
+their weights in index order from one cell per value (``_weight_rows``).
+The text and DOT views of a plan and of ``canonical-path`` (the plan from
+zero to the Steinberg weight) come from that renderer too.  Every DOT
+view yields its lines from one generator, ``_dot``.
 
 Exit codes: 0 success; 1 verification failure (``verify``,
 ``validate``) or a planner invariant violation, reported as ``error:``
@@ -40,7 +40,7 @@ import json
 import random
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain, groupby, islice, product
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -50,6 +50,7 @@ from .conormal import _rows
 from .graph import (
     BudgetExceededError,
     _distance_rows,
+    _edges,
     bfs_distances,
     build_certified_graph,
     distance_matrix_csv,
@@ -192,13 +193,12 @@ def _encode(obj, indent: str) -> Iterator[str]:
         yield json.dumps(obj, indent=2).replace("\n", indent)
 
 
-def _int_rows(rows, indent: str) -> list[str]:
-    """Each nonempty row of ints in ``rows`` as JSON nested at ``indent``,
-    from one cell per distinct value."""
-    inner = indent + "  "
-    cells = {v: inner + str(v) for v in set(chain.from_iterable(rows))}
+def _weight_rows(n: int, p: int, indent: str) -> list[str]:
+    """A graph's weights, product(range(p), repeat=n-1), in index order, each
+    as JSON nested at ``indent``, from one cell per entry value."""
     close = indent + "]"
-    return ["[" + ",".join(map(cells.__getitem__, row)) + close for row in rows]
+    rows = product([indent + "  " + str(v) for v in range(p)], repeat=n - 1)
+    return ["[" + row + close for row in map(",".join, rows)]
 
 
 def _moves_json(plan: PathPlan, indent: str) -> Iterator[str]:
@@ -415,8 +415,7 @@ def _cmd_graph(args):
 
     def vertices(indent: str) -> Iterator[str]:
         item = indent + "  "
-        rows = _int_rows(g.vertices, item)
-        yield "[" + ",".join(item + row for row in rows) + indent + "]"
+        yield "[" + item + ("," + item).join(_weight_rows(g.n, g.p, item)) + indent + "]"
 
     def edges(indent: str) -> Iterator[str]:
         item = indent + "  "
@@ -424,12 +423,12 @@ def _cmd_graph(args):
         yield "[" + ",".join(
             f'{item}{{{member}"from": {i},{member}"to": {j},'
             f'{member}"move": {_move_json(move, member)}{item}}}'
-            for i, adj in enumerate(g.adjacency) for move, j in adj
+            for i, j, move in _edges(g)
         ) + indent + "]"
 
     def dot() -> Iterator[str]:
         names = [format_weight(w) for w in g.vertices]
-        arcs = ((names[i], names[j], m) for i, adj in enumerate(g.adjacency) for m, j in adj)
+        arcs = ((names[i], names[j], move) for i, j, move in _edges(g))
         return _dot(f"certified_n{g.n}_p{g.p}", names, arcs)
 
     payload = {"n": g.n, "p": g.p, "vertices": vertices, "edges": edges}
@@ -455,7 +454,7 @@ def _cmd_bfs(args):
         yield "[" + ",".join(
             f'{item}{{{member}"weight": {w},'
             f'{member}"distance": {"null" if d is None else d}{item}}}'
-            for w, d in zip(_int_rows(g.vertices, member), dist)
+            for w, d in zip(_weight_rows(g.n, g.p, member), dist)
         ) + indent + "]"
 
     payload = {"n": args.n, "p": args.p, "source": args.src, "distances": distances}
@@ -553,17 +552,13 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
 
     g = build_certified_graph(n, p, budget)
     checks.append(("vertex count is p^(n-1)", len(g.vertices) == p ** (n - 1)))
-    checks.append(
-        ("out-degree is 1 or 2", all(len(adj) in (1, 2) for adj in g.adjacency))
-    )
+    # Zero has one edge and every other vertex two: column 1 holds itself only at 0.
+    own = [[v for v, u in enumerate(col) if u == v] for col in g.columns[1:]]
+    checks.append(("out-degree is 1 or 2", own == [[0]]))
     # The enumerated vertices are p-restricted: the kernels below trust them.
     fs = [_f(w) for w in g.vertices]
-    checks.append(
-        (
-            "f-law f(head) <= f(tail)+1 on every edge",
-            all(fs[j] <= fs[i] + 1 for i, adj in enumerate(g.adjacency) for _, j in adj),
-        )
-    )
+    f_law = all(fs[j] <= f + 1 for col in g.columns for f, j in zip(fs, col))
+    checks.append(("f-law f(head) <= f(tail)+1 on every edge", f_law))
 
     # The gap-measured pairs, as each source's vertex index mapped to the
     # indices of its targets, and each source's distances to them.  Zero
@@ -621,13 +616,13 @@ def run_verification(n: int, p: int, budget: int) -> tuple[dict, list[tuple[str,
     certify_ok = True
     # One partition and one conormal set per vertex serve both checks.  The
     # clearing row 1 + a_1 is 1 + the first nonzero position.
-    for w, adj in zip(g.vertices, g.adjacency):
+    for w, (_, edges) in zip(g.vertices, groupby(_edges(g), lambda edge: edge[0])):
         parts = _partition(w)
         con = _rows(parts, p)[2]
         s = first_nonzero_position(w)
         if 1 not in con or (s is not None and 1 + s not in con):
             conormal_ok = False
-        if not all(_certify(w, move, g.vertices[j], p, parts, con) for move, j in adj):
+        if not all(_certify(w, move, g.vertices[j], p, parts, con) for _, j, move in edges):
             certify_ok = False
     checks.append(("index 1 and 1+a_1 conormal at every vertex", conormal_ok))
     checks.append(("every certified move certified via conormal", certify_ok))

@@ -4,28 +4,24 @@ BFS distances, diameter, and the all-pairs distance matrix as CSV.
 Vertices are listed in lexicographic order, so indices are deterministic:
 weight w has index sum of w_i * p^(n-1-i), its entries read as base-p
 digits.  Out-degrees are 1 (zero weight) or 2, and every edge obeys the
-potential law f(head) <= f(tail) + 1.  The graph is immutable after
-construction.
+potential law f(head) <= f(tail) + 1.
 
-Each certified move changes one or two entries, so over a contiguous
-range of indices it is a shift by a constant.  The build computes each
-successor column from such ranges (build_certified_graph states them)
-and never steps a vertex through moves._successors.
+The edges are two successor columns of vertex indices: column 0 holds
+each vertex's add_first head, column 1 its clearing head, or, at zero,
+zero itself.  Each certified move shifts a contiguous range of indices
+by a constant, so the build slices the columns from such ranges
+(build_certified_graph states them) and never steps a vertex through
+moves._successors.  No edge holds a Move: _edges derives each from its
+column and its source's index.
 
 The diameter and the all-pairs distance matrix come from one bit-parallel
 traversal from all V sources at once (multi-source traversal over bitsets,
-after Then et al., PVLDB 8(4), 2014), not from V separate BFS runs.  Round
-k + 1 sets a source's mask to its two successors' masks, one OR, and ORs
-in the source's own mask only while its own bit may be missing from
-them.  On the certified graph, w's add_first edge starts a cycle of
-j(p-1) moves back to w, where j is the position of w's first nonzero
-entry, so from round j(p-1) on the successors' masks hold bit w.  Each
-row is checked once, when it drops its own mask; if its bit is missing,
-the bits are set and every row keeps its own mask from then on.  At
-n = 2, where the graph is a path of p vertices, the traversal does V-bit
-ORs for V - 1 rounds, so per-source BFS is faster there: at (2,1021),
-under Python 3.11, the CSV matrix takes about 0.5 s and per-source BFS
-rows written by csv.writer about 0.38 s.
+after Then et al., PVLDB 8(4), 2014), not from V separate BFS runs: each
+round ORs the masks of a source's successors through the columns
+(_rounds).  At n = 2, a path of p vertices, it does V-bit ORs for V - 1
+rounds, so per-source BFS is faster there: at (2,1021), under Python
+3.11, the CSV matrix takes about 0.5 s and per-source BFS rows written by
+csv.writer about 0.38 s.
 
 The traversal's two generations of V-bit masks take 2 * V^2 / 8 bytes,
 and each of the matrix's bit_length(V - 1) bit planes V^2 / 8 more.  Above
@@ -39,13 +35,12 @@ its gap figures on every pair.  Per-source BFS serves single rows:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, count, product, repeat
-from operator import xor
+from operator import ne, xor
 
-from .moves import _ADD_FIRST_MOVE, _CLEAR_LAST_MOVE, Move, _clear_forward
+from .moves import _ADD_FIRST_MOVE, _CLEAR_LAST_MOVE, Move, _clear_forward, first_nonzero_position
 from .weights import Weight, format_weight
 
 DEFAULT_VERTEX_BUDGET = 10**6
@@ -60,12 +55,14 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class CertifiedGraph:
-    """Adjacency over all p-restricted weights; edges are certified moves."""
+    """All p-restricted weights and two or more successor columns: column c
+    holds each vertex's c-th successor index, or the vertex itself when it
+    has fewer.  Only graphs built by hand hold more than two."""
 
     n: int
     p: int
     vertices: tuple[Weight, ...]
-    adjacency: tuple[tuple[tuple[Move, int], ...], ...]
+    columns: tuple[list[int], ...]
 
     def index_of(self, w: Weight) -> int:
         """The index of vertex ``w``, its entries read as base-p digits;
@@ -82,7 +79,9 @@ class CertifiedGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(adj) for adj in self.adjacency)
+        """Column 0's entries and the later columns' that are not their vertex."""
+        first, *rest = self.columns
+        return len(first) + sum(sum(map(ne, col, count())) for col in rest)
 
 
 def build_certified_graph(
@@ -116,21 +115,18 @@ def build_certified_graph(
             f"{count} = {p}^{n - 1} vertices exceed the budget of {budget}"
         )
     vertices = tuple(product(range(p), repeat=n - 1))
-    # Targets are slices of one list, so the edges share one int per vertex.
+    # Targets are slices of one list, so the columns share one int per vertex.
     ids = list(range(count))
     powers = [p ** (n - 1 - i) for i in range(n)]  # P_0 = V, ..., P_(n-1) = 1
-    first = zip(repeat(_ADD_FIRST_MOVE), _wrapped(ids, 0, count, powers[1]))
-    # The clearing edges of v = 1, 2, ...: clear_last, then clear_forward(s)
-    # for s = n-2 down to 1, one block of targets per value of w_s.
-    clearing = [zip(repeat(_CLEAR_LAST_MOVE), ids[: p - 1])]
+    firsts = list(_wrapped(ids, 0, count, powers[1]))
+    # Column 1: zero itself, clear_last's heads, then clear_forward(s)'s for
+    # s = n-2 down to 1, one block of targets per value of w_s.
+    clearing = ids[:1] + ids[: p - 1]
     for s in range(n - 2, 0, -1):
-        block, step, move = powers[s], powers[s + 1], _clear_forward(s)
-        clearing += (
-            zip(repeat(move), _wrapped(ids, base, block, step))
-            for base in range(0, powers[s - 1] - block, block)
-        )
-    adjacency = ((next(first),), *zip(first, chain.from_iterable(clearing)))
-    return CertifiedGraph(n=n, p=p, vertices=vertices, adjacency=adjacency)
+        block, step = powers[s], powers[s + 1]
+        for base in range(0, powers[s - 1] - block, block):
+            clearing += _wrapped(ids, base, block, step)
+    return CertifiedGraph(n=n, p=p, vertices=vertices, columns=(firsts, clearing))
 
 
 def _wrapped(ids: list[int], base: int, block: int, step: int) -> Iterator[int]:
@@ -143,20 +139,34 @@ def _wrapped(ids: list[int], base: int, block: int, step: int) -> Iterator[int]:
     return chain(ids[base + step : base + block], ids[base + step : base + 2 * step])
 
 
+def _edges(g: CertifiedGraph) -> Iterator[tuple[int, int, Move]]:
+    """Every edge of a certified graph as (tail, head, move), by tail, each
+    Move from its column and tail index v: column 0 is add_first; column 1
+    holds no edge at v = 0, clear_last at 1 <= v <= p-1, whose first nonzero
+    entry is the last, and clear_forward(s) above, s that position."""
+    for v, (x, y) in enumerate(zip(*g.columns)):
+        yield v, x, _ADD_FIRST_MOVE
+        if v:
+            s = first_nonzero_position(g.vertices[v])
+            yield v, y, _CLEAR_LAST_MOVE if s == g.n - 1 else _clear_forward(s)
+
+
 def bfs_distances(g: CertifiedGraph, source: Weight) -> list[int | None]:
     """Exact directed distances from ``source`` to every vertex, aligned
     with g.vertices; None marks unreachable vertices (which does not occur
-    for these graphs, but the caller should not have to trust that)."""
+    for these graphs, but the caller should not have to trust that).  It
+    goes level by level, reading each level's heads column by column."""
     dist: list[int | None] = [None] * len(g.vertices)
-    start = g.index_of(source)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for _, u in g.adjacency[v]:
-            if dist[u] is None:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    level = [g.index_of(source)]
+    dist[level[0]] = d = 0
+    while level:
+        d += 1
+        tails, level = level, []
+        for col in g.columns:
+            for u in map(col.__getitem__, tails):
+                if dist[u] is None:
+                    dist[u] = d
+                    level.append(u)
     return dist
 
 
@@ -170,9 +180,10 @@ def _rounds(
 ) -> Iterator[tuple[list[int], list[int]]]:
     """The successor-mask traversal: bit t of ``reach[s]`` is set once
     source s reaches t.  Round k + 1 sets each mask to its source's own
-    bit and its successors' masks after round k, so it leaves the targets
-    within distance k + 1.  Yields each round's (before, after) masks,
-    round 0 going from none to the source's own bit, until a round
+    bit and its successors' masks after round k, read through g.columns as
+    they are (padding with its own index adds nothing), so it leaves the
+    targets within distance k + 1.  Yields each round's (before, after)
+    masks, round 0 going from none to the source's own bit, until a round
     changes nothing.
 
     Of a source's own mask only its own bit is new, and on the certified
@@ -181,7 +192,7 @@ def _rounds(
     (p-1) is a cycle through the source that starts with its add_first
     edge.  The sources with j <= J are the indices from p^(n-1-J) on, so
     from round k + 1 the rows at or above p^(n-1-(k+1)//(p-1)) take one
-    OR of their first two successors' masks, and only the rows below
+    OR of their masks in the first two columns, and only the rows below
     that cut OR in their own.  A row is checked once, in the round it
     passes the cut: its own bit must be set.  If any row's is not, as in
     a graph built by hand with other edges, the missing bits are set and
@@ -197,13 +208,7 @@ def _rounds(
             f"{what} of {size} vertices needs {need} bytes of "
             f"reachability masks, over the limit of {DIAMETER_MEMORY_LIMIT}"
         )
-    # Column c holds each vertex's c-th successor, or the vertex itself when
-    # it has fewer; the columns past the first two are ORed in one by one.
-    width = max(map(len, g.adjacency), default=0)
-    xs, ys, *rest = (
-        [adj[c][1] if c < len(adj) else v for v, adj in enumerate(g.adjacency)]
-        for c in range(max(width, 2))
-    )
+    xs, ys, *rest = g.columns
     # Rows at or above the cut of round k drop their own mask in it.
     cuts = (g.p ** max(g.n - 1 - k // (g.p - 1), 0) for k in count(1))
     after = [1 << v for v in range(size)]

@@ -11,7 +11,7 @@ from itertools import permutations, product
 
 from modmckay.char0 import char0_distance, lr_neighbors
 from modmckay.conormal import addable_indices, bk_children, conormal_indices
-from modmckay.graph import CertifiedGraph, build_certified_graph
+from modmckay.graph import build_certified_graph
 from modmckay.moves import _certify, certified_moves, validate_move
 from modmckay.planner import length_bound, plan_path
 from modmckay.weights import (
@@ -22,7 +22,7 @@ from modmckay.weights import (
     weight_to_partition,
 )
 from conormal_oracle import _residue_sets, block_form
-from graph_oracle import all_pairs_distances
+from graph_oracle import all_pairs_distances, successor_heads
 from planner_oracle import canonical_path_char0
 from weights_oracle import cartan_matrix, p_adic_decompose
 
@@ -238,7 +238,7 @@ def test_criterion_9_scope_on_an_f_law_supergraph():
     # every p-restricted conormal child (bk_children) to the certified edges.
     for (n, p), outside in SUPERGRAPH_INSTANCES.items():
         g = build_certified_graph(n, p)
-        heads = [{j for _, j in adj} for adj in g.adjacency]
+        heads = [set(js) for js in successor_heads(g.vertices, p)]
         children = [
             (i, child)
             for i, w in enumerate(g.vertices)
@@ -250,8 +250,7 @@ def test_criterion_9_scope_on_an_f_law_supergraph():
             heads[i].add(g.index_of(child))
         fs = [f_value(w) for w in g.vertices]
         assert all(fs[j] <= fs[i] + 1 for i, js in enumerate(heads) for j in js), (n, p)
-        adjacency = tuple(tuple((None, j) for j in sorted(js)) for js in heads)
-        rows = all_pairs_distances(CertifiedGraph(n, p, g.vertices, adjacency))
+        rows = all_pairs_distances(g, [sorted(js) for js in heads])
         assert all(None not in row for row in rows), (n, p)
         assert max(map(max, rows)) == rows[0][-1] == length_bound(n, p), (n, p)
     print("ACCEPTANCE 9 diameter on an f-law supergraph: PASS")

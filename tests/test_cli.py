@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -755,7 +756,7 @@ def _plan_args(lam, mu, p) -> list[str]:
 
 def _bfs_payload(n, p, source) -> dict:
     g = graph_oracle.build_certified_graph(n, p)
-    distances = graph_mod.bfs_distances(g, source)
+    distances = graph_oracle.bfs_distances(g, g.index_of(source))
     return {"n": n, "p": p, "source": list(source), "distances": [
         {"weight": list(w), "distance": d} for w, d in zip(g.vertices, distances)
     ]}
@@ -785,7 +786,7 @@ _COMMAND_CASES = [
      lambda: plan_path((2, 2, 2), (0, 0, 0), 3).to_json_dict()),
     *[
         (["graph", "--n", str(n), "--p", str(p), "--format", "json"], 0,
-         lambda n=n, p=p: graph_oracle.graph_json(graph_oracle.build_certified_graph(n, p)))
+         lambda n=n, p=p: graph_oracle.graph_json(n, p))
         for n, p in ((3, 2), (6, 2), (5, 3))
     ],
     (["bfs", "--n", "3", "--p", "3", "--from", "1,2", "--format", "json"], 0,
@@ -831,17 +832,15 @@ class TestJsonEncoder:
             assert main(_plan_args(*ends)) == 0
         assert out.getvalue() == _dumps(plan_path(*ends).to_json_dict())
 
-    # Rows of ints render from one cell per distinct value, at any indent.
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.one_of(st.lists(st.integers(), min_size=1),
-                           st.lists(st.integers(), min_size=1).map(tuple)), min_size=1),
-        st.sampled_from(["\n", "\n    "]),
-    )
-    def test_int_rows_match_json_dumps(self, rows, indent):
-        assert cli._int_rows(rows, indent) == [
-            json.dumps(row, indent=2).replace("\n", indent) for row in rows
-        ]
+    # A graph's weight rows render in index order from one cell per entry
+    # value, at any indent: at p = 2 and at a two-digit p, whose cells
+    # differ in width.
+    def test_weight_rows_match_json_dumps(self):
+        for n, p, indent in product(range(2, 6), (2, 13), ("\n", "\n    ")):
+            item = indent + "  "
+            text = "[" + item + ("," + item).join(cli._weight_rows(n, p, item)) + indent + "]"
+            weights = [list(w) for w in product(range(p), repeat=n - 1)]
+            assert text == json.dumps(weights, indent=2).replace("\n", indent), (n, p, indent)
 
     # A plan's move labels come from one template per kind.
     @pytest.mark.parametrize("move", [

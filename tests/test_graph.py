@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -37,14 +38,21 @@ class TestEnumerate:
             build_certified_graph(11, 7, budget=1000)
 
 
+def out_edges(g) -> dict:
+    """Each vertex's edges as (move, head weight), from the columns and
+    the moves that graph._edges derives."""
+    out = {w: [] for w in g.vertices}
+    for i, j, move in graph_mod._edges(g):
+        out[g.vertices[i]].append((move, g.vertices[j]))
+    return out
+
+
 class TestBuild:
     def test_2_3_adjacency(self):
         g = build_certified_graph(2, 3)
         assert g.vertices == ((0,), (1,), (2,))
-        out = {
-            w: [(m, g.vertices[j]) for m, j in adj]
-            for w, adj in zip(g.vertices, g.adjacency)
-        }
+        assert g.columns == ([1, 2, 1], [0, 0, 1])
+        out = out_edges(g)
         assert out[(0,)] == [(Move("add_first"), (1,))]
         assert out[(1,)] == [
             (Move("add_first"), (2,)),
@@ -57,10 +65,8 @@ class TestBuild:
 
     def test_2_2_self_loop(self):
         g = build_certified_graph(2, 2)
-        out = {
-            w: [(m, g.vertices[j]) for m, j in adj]
-            for w, adj in zip(g.vertices, g.adjacency)
-        }
+        assert g.columns == ([1, 1], [0, 0])
+        out = out_edges(g)
         assert out[(0,)] == [(Move("add_first"), (1,))]
         assert out[(1,)] == [
             (Move("add_first"), (1,)),
@@ -70,11 +76,11 @@ class TestBuild:
     def test_structural_invariants(self):
         for n, p in [(3, 3), (4, 2), (5, 2), (3, 5)]:
             g = build_certified_graph(n, p)
-            assert len(g.vertices) == p ** (n - 1)
-            for w, adj in zip(g.vertices, g.adjacency):
-                assert len(adj) in (1, 2)
-                for _, j in adj:
-                    assert f_value(g.vertices[j]) <= f_value(w) + 1
+            assert len(g.vertices) == p ** (n - 1) == len(g.columns[0]) == len(g.columns[1])
+            for w, edges in out_edges(g).items():
+                assert len(edges) in (1, 2)
+                for _, head in edges:
+                    assert f_value(head) <= f_value(w) + 1
 
     def test_index_of(self):
         g = build_certified_graph(3, 2)
@@ -99,7 +105,7 @@ class TestBuild:
             build_certified_graph(3, 3).index_of(w)
 
     def test_index_of_refuses_a_weight_a_hand_built_graph_lacks(self):
-        g = CertifiedGraph(n=2, p=5, vertices=((0,), (1,), (2,)), adjacency=((), (), ()))
+        g = graph_oracle.from_heads(2, 5, ((0,), (1,), (2,)), [[], [], []])
         assert g.index_of((2,)) == 2
         with pytest.raises(ValueError, match="not a vertex"):
             g.index_of((3,))
@@ -115,15 +121,21 @@ BUILD_SIZES = [
 ] + [(2, 1021)]
 
 
-def assert_same_graph(g, want):
-    """Equal fields, adjacency with the same repr, and each edge labelled
-    by the very Move object _successors uses."""
-    assert g == want and repr(g.adjacency) == repr(want.adjacency)
-    assert all(
-        m is o
-        for adj, other in zip(g.adjacency, want.adjacency)
-        for (m, _), (o, _) in zip(adj, other)
-    )
+def assert_same_graph(n, p):
+    """The build's two columns equal the oracle's at every vertex, both
+    lists of ints, and each edge's derived Move is the very object
+    _successors gives it."""
+    g, want = build_certified_graph(n, p), graph_oracle.build_certified_graph(n, p)
+    assert g == want and len(g.columns) == 2
+    assert all(type(col) is list for col in g.columns)
+    stepped = [
+        (i, g.index_of(target), move)
+        for i, w in enumerate(g.vertices)
+        for move, target in moves_mod._successors(w, p)
+    ]
+    edges = list(graph_mod._edges(g))
+    assert [edge[:2] for edge in edges] == [edge[:2] for edge in stepped]
+    assert all(edge[2] is other[2] for edge, other in zip(edges, stepped))
 
 
 class TestIndexRangeBuild:
@@ -131,7 +143,7 @@ class TestIndexRangeBuild:
     # per-vertex build in graph_oracle steps _successors itself.
     @pytest.mark.parametrize("n,p", BUILD_SIZES)
     def test_matches_per_vertex_build(self, n, p):
-        assert_same_graph(build_certified_graph(n, p), graph_oracle.build_certified_graph(n, p))
+        assert_same_graph(n, p)
 
     # Small instances, the non-prime p that --allow-nonprime admits included.
     @settings(max_examples=60, deadline=None)
@@ -139,7 +151,17 @@ class TestIndexRangeBuild:
     def test_matches_per_vertex_build_small(self, n, p):
         if p ** (n - 1) > 5000:
             n = 2
-        assert_same_graph(build_certified_graph(n, p), graph_oracle.build_certified_graph(n, p))
+        assert_same_graph(n, p)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_add_first_self_loops_at_p2(self, n):
+        # The weights with first entry 1 are the upper half of the indices,
+        # and their add_first edge in column 0 returns to them.
+        g = build_certified_graph(n, 2)
+        half = 2 ** (n - 2)
+        assert [v for v, u in enumerate(g.columns[0]) if u == v] == list(range(half, 2 * half))
+        assert all(move.kind == "add_first" for v, u, move in graph_mod._edges(g) if u == v)
+        assert g.edge_count == 2 * len(g.vertices) - 1
 
     def test_never_steps_successors(self, monkeypatch):
         def refuse(w, p):
@@ -147,7 +169,21 @@ class TestIndexRangeBuild:
 
         monkeypatch.setattr(moves_mod, "_successors", refuse)
         monkeypatch.setattr(graph_mod, "_successors", refuse, raising=False)
-        assert build_certified_graph(5, 3).edge_count == 161
+        g = build_certified_graph(5, 3)
+        assert g.edge_count == len(list(graph_mod._edges(g))) == 161
+
+    def test_memory_held_by_the_build(self):
+        # The (12,3) graph, its 177,147 weight tuples and two index columns,
+        # held 31.2 MiB under tracemalloc; with a (Move, index) tuple per
+        # edge it held 58.1 MiB.  The limit is about 25% over the first.
+        tracemalloc.start()
+        try:
+            g = build_certified_graph(12, 3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 354_293
+        assert held < 39 * 2**20, f"{held / 2**20:.1f} MiB"
 
 
 class TestBfs:
@@ -171,12 +207,13 @@ class TestBfs:
                 assert all(d is not None for d in bfs_distances(g, w))
 
 
-def bfs_diameter(g):
-    """The diameter the slow way: a BFS from every vertex, the first
-    attaining pair in (source, target) order, and an error naming the
-    first unreachable pair in that order."""
+def bfs_diameter(g, heads=None):
+    """The diameter the slow way: a BFS from every vertex over ``heads``
+    (by default the certified ones), the first attaining pair in (source,
+    target) order, and an error naming the first unreachable pair in that
+    order."""
     best, witness = -1, None
-    for i, row in enumerate(graph_oracle.all_pairs_distances(g)):
+    for i, row in enumerate(graph_oracle.all_pairs_distances(g, heads)):
         for j, d in enumerate(row):
             if d is None:
                 raise BudgetExceededError(
@@ -198,19 +235,17 @@ ORACLE_SIZES = [
 ]
 
 
-def sink_graph() -> CertifiedGraph:
-    """0 -> 1 -> 3 -> 0 and 3 -> 2, with no edge out of 2."""
-    vertices = ((0,), (1,), (2,), (3,))
-    m = Move("add_first")
-    adjacency = (((m, 1),), ((m, 3),), (), ((m, 0), (m, 2)))
-    return CertifiedGraph(n=2, p=4, vertices=vertices, adjacency=adjacency)
+# Graphs built by hand, each a list of heads per vertex: 0 -> 1 -> 3 -> 0
+# and 3 -> 2, with no edge out of 2; 0 -> 1 -> 2 -> 3, with no edge out
+# of 3; and a lone vertex.
+SINK = [[1], [3], [], [0, 2]]
+PATH = [[1], [2], [3], []]
+LONE = [[]]
 
 
-def path_graph() -> CertifiedGraph:
-    """0 -> 1 -> 2 -> 3, with no edge out of 3."""
-    m = Move("add_first")
-    adjacency = (((m, 1),), ((m, 2),), ((m, 3),), ())
-    return CertifiedGraph(n=2, p=4, vertices=((0,), (1,), (2,), (3,)), adjacency=adjacency)
+def hand_built(heads, p: int = 4) -> CertifiedGraph:
+    """The graph (2, p) on the weights (0,), (1,), ... with ``heads``."""
+    return graph_oracle.from_heads(2, p, tuple((v,) for v in range(len(heads))), heads)
 
 
 class TestDiameter:
@@ -230,13 +265,13 @@ class TestDiameter:
         assert subgraph_diameter(g) == bfs_diameter(g)
 
     def test_single_vertex(self):
-        g = CertifiedGraph(n=2, p=2, vertices=((0,),), adjacency=((),))
+        g = hand_built(LONE, 2)
         assert subgraph_diameter(g) == (0, ((0,), (0,)))
 
     def test_sink_names_first_unreachable_pair(self):
-        g = sink_graph()
+        g = hand_built(SINK)
         with pytest.raises(BudgetExceededError) as expected:
-            bfs_diameter(g)
+            bfs_diameter(g, SINK)
         assert str(expected.value) == "vertex (0,) unreachable from (2,)"
         with pytest.raises(BudgetExceededError) as exc:
             subgraph_diameter(g)
@@ -293,45 +328,49 @@ class TestDistanceMatrix:
     def test_unreached_targets_beyond_a_longest_path(self):
         # Distances reach V - 1 = 3, so the unreached cells need a third
         # bit plane.
-        g = path_graph()
+        g = hand_built(PATH)
         text = distance_matrix_csv(g)
-        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
+        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g, PATH))
         assert text.splitlines()[1:] == ["0,0,1,2,3", "1,,0,1,2", "2,,,0,1", "3,,,,0"]
 
     def test_unreached_targets_are_empty_cells(self):
-        g = sink_graph()
+        g = hand_built(SINK)
         text = distance_matrix_csv(g)
-        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
+        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g, SINK))
         assert text.splitlines()[3] == "2,,,0,"
 
     def test_single_vertex(self):
-        g = CertifiedGraph(n=2, p=2, vertices=((0,),), adjacency=((),))
+        g = hand_built(LONE, 2)
         text = distance_matrix_csv(g)
-        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g))
+        assert sha256(text) == sha256(graph_oracle.distance_matrix_csv(g, LONE))
         assert text == "source,0\r\n0,0\r\n"
 
     def test_rows_match_bfs(self):
         # The rows verify reads from the matrix's lanes: one-byte lanes,
-        # four-byte lanes at (2,257), and None where a target is unreached.
-        for g in (
-            build_certified_graph(4, 3), build_certified_graph(2, 257), sink_graph(), path_graph()
+        # four-byte lanes at (2,257), and None where a target is unreached;
+        # and the rows of bfs_distances, level by level over the columns.
+        for g, heads in (
+            (build_certified_graph(4, 3), None), (build_certified_graph(2, 257), None),
+            (hand_built(SINK), SINK), (hand_built(PATH), PATH),
         ):
-            rows = list(graph_mod._distance_rows(g))
-            assert rows == [bfs_distances(g, w) for w in g.vertices]
+            rows = graph_oracle.all_pairs_distances(g, heads)
+            assert list(graph_mod._distance_rows(g)) == rows
+            assert [bfs_distances(g, w) for w in g.vertices] == rows
 
 
-def assert_same_outcome(g):
-    """The traversal's diameter and CSV against the per-source BFS oracle:
-    both raise the same error, or both return the same value."""
+def assert_same_outcome(g, heads):
+    """The traversal's diameter and CSV against the per-source BFS oracle
+    over the graph's ``heads``: both raise the same error, or both return
+    the same value."""
     try:
-        want = bfs_diameter(g)
+        want = bfs_diameter(g, heads)
     except BudgetExceededError as expected:
         with pytest.raises(BudgetExceededError) as exc:
             subgraph_diameter(g)
         assert str(exc.value).startswith(str(expected) + ";")
     else:
         assert subgraph_diameter(g) == want
-    assert sha256(distance_matrix_csv(g)) == sha256(graph_oracle.distance_matrix_csv(g))
+    assert sha256(distance_matrix_csv(g)) == sha256(graph_oracle.distance_matrix_csv(g, heads))
 
 
 class TestOwnMaskRule:
@@ -344,7 +383,7 @@ class TestOwnMaskRule:
         g = build_certified_graph(n, p)
         for v, w in enumerate(g.vertices[1:], 1):
             j = next(i for i, e in enumerate(w, 1) if e)
-            target = next(u for move, u in g.adjacency[v] if move.kind == "add_first")
+            target = g.columns[0][v]  # the add_first head
             assert bfs_distances(g, g.vertices[target])[v] <= j * (p - 1) - 1, w
 
     @pytest.mark.parametrize("row,target", [(6, 0), (3, 1)])
@@ -353,26 +392,25 @@ class TestOwnMaskRule:
         # each must be back within one move of its add_first successor.
         # (2,0) sent to (0,0) is 2 moves from home, and the graph stays
         # strongly connected; (1,0) sent to (0,1) never gets back.
-        certified = build_certified_graph(3, 3)
-        adjacency = list(certified.adjacency)
-        (move, _), other = adjacency[row]
-        adjacency[row] = ((move, target), other)
-        g = CertifiedGraph(n=3, p=3, vertices=certified.vertices, adjacency=tuple(adjacency))
+        vertices = build_certified_graph(3, 3).vertices
+        heads = graph_oracle.successor_heads(vertices, 3)
+        heads[row][0] = target
+        g = graph_oracle.from_heads(3, 3, vertices, heads)
         assert bfs_distances(g, g.vertices[target])[row] in (2, None)
-        assert_same_outcome(g)
+        assert_same_outcome(g, heads)
         # Every round's masks are the balls of BFS, each of V rows.
-        rows = graph_oracle.all_pairs_distances(g)
+        rows = graph_oracle.all_pairs_distances(g, heads)
         for k, (_, after) in enumerate(graph_mod._rounds(g, 0, "the diameter")):
             balls = [sum(1 << t for t, d in enumerate(row) if d is not None and d <= k) for row in rows]
             assert after == balls, k
 
     def test_successors_past_the_second(self):
         # Vertex 0 has three successors and 3 is reached only through the third.
-        m = Move("add_first")
-        adjacency = (((m, 1), (m, 2), (m, 3)), ((m, 0),), ((m, 0),), ((m, 4),), ((m, 0),))
-        g = CertifiedGraph(n=2, p=5, vertices=tuple((i,) for i in range(5)), adjacency=adjacency)
+        heads = [[1, 2, 3], [0], [0], [4], [0]]
+        g = hand_built(heads, 5)
+        assert len(g.columns) == 3
         assert subgraph_diameter(g) == (3, ((1,), (4,)))
-        assert_same_outcome(g)
+        assert_same_outcome(g, heads)
 
 
 class TestExports:

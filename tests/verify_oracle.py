@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from modmckay.graph import CertifiedGraph, bfs_distances
+import graph_oracle
+from modmckay.graph import CertifiedGraph
 from modmckay.planner import (
     InvariantViolationError,
     _Builder,
@@ -43,6 +44,7 @@ def check_plans(g: CertifiedGraph, pairs: dict) -> tuple[int | None, bool, bool,
     ``pairs``, None when the second answer is no."""
     n, p, vertices = g.n, g.p, g.vertices
     bound = length_bound(n, p)
+    heads = graph_oracle.successor_heads(vertices, p)
     waypoints: dict[tuple, Weight] = {}  # key -> K
     suffixes: list[tuple[tuple, int | None]] = []  # per target: (key, length)
     for mu in vertices:
@@ -73,7 +75,7 @@ def check_plans(g: CertifiedGraph, pairs: dict) -> tuple[int | None, bool, bool,
             from_zero = prefixes
         if i not in pairs:
             continue
-        dist = bfs_distances(g, lam)
+        dist = graph_oracle.bfs_distances(g, i, heads)
         for j in pairs[i]:
             # A certified walk reaches its target, so BFS must reach it too.
             if lengths[j] is None or dist[j] is None:
