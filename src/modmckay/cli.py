@@ -420,9 +420,10 @@ def _cmd_graph(args):
     def edges(indent: str) -> Iterator[str]:
         item = indent + "  "
         member = item + "  "
+        texts: dict[Move, str] = {}  # each of the at most n distinct moves, rendered once
         yield "[" + ",".join(
-            f'{item}{{{member}"from": {i},{member}"to": {j},'
-            f'{member}"move": {_move_json(move, member)}{item}}}'
+            f'{item}{{{member}"from": {i},{member}"to": {j},{member}"move": '
+            f'{texts.get(move) or texts.setdefault(move, _move_json(move, member))}{item}}}'
             for i, j, move in _edges(g)
         ) + indent + "]"
 

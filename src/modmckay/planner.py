@@ -52,13 +52,14 @@ carry to the entry at its stop.
 So the all-pairs certificate that ``verify`` runs (_check_plans) plans
 nothing pair by pair.  It walks each distinct sweep once for all
 sources, from the entries below its stop and then zeros, and reads a
-source's swept weight off that walk's carry (_swept).  It walks each
-finish once per (ell(lam), swept weight, key) and one suffix per target,
-each certified block by block and checked to end where it must: two
-walks, the second starting where the first ends, make a walk.  Each key
-keeps its two longest suffixes, so a source's longest plan is its
-longest head plus the longest suffix in the head's key to another
-vertex: one step per source and key.
+source's swept weight off that walk's carry (_swept).  A head reads its
+key only through its route, so a source sweeps once per route, and the
+finishes of the route's keys are walked once per (ell(lam), swept
+weight).  With one suffix per target, each walk is certified block by
+block and checked to end where it must: two walks, the second starting
+where the first ends, make a walk.  Each key keeps its two longest
+suffixes, so a source's longest plan is its longest head plus the
+longest suffix in the head's key to another vertex.
 
 The finished walk must end at the target within the length bound.  A
 failed check raises InvariantViolationError rather than being silently
@@ -479,8 +480,9 @@ def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
     indices) no shorter than its distance (``rows`` yields the distances
     of each source to its targets, in the order of the sources); whether
     plan(0,St) meets the bound; and the gap figures over ``pairs``.  A
-    source's plan lengths are its heads by key plus the suffixes, and its
-    gaps those minus its distances, each list checked whole.
+    source takes one sweep and one finish lookup per route of its keys,
+    and its gaps are its heads by key plus the suffixes minus its
+    distances, each list checked whole.
     """
     n, p, vertices = g.n, g.p, g.vertices
     bound = length_bound(n, p)
@@ -489,12 +491,10 @@ def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
     keys = list(numbers)
     waypoints = [_waypoint(key, n, p) for key in keys]
     tails: list[int | None] = []
-    population = [0] * len(keys)
     best = [[(-1, -1)] * 2 for _ in keys]  # per key: its two longest (suffix, target)
     for j, (mu, c) in enumerate(zip(vertices, kids)):
         length, end = _walk_length(waypoints[c], p, _from_waypoint, mu)
         tails.append(length if end == mu else None)
-        population[c] += 1
         if end == mu:
             best[c] = sorted([*best[c], (length, j)])[1:]
     certified = None not in tails
@@ -503,37 +503,31 @@ def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
     # longest, best[c][1], unless it is the vertex's own.
     other = [best[c][best[c][1][1] != j][0] for j, c in enumerate(kids)]
 
-    routes: dict[int, list] = {}  # ell(lam) -> [(key number, key, K, route)]
+    groups: dict[int, dict] = {}  # ell(lam) -> route -> (key numbers, swept weight -> finishes)
     walks: dict[tuple, tuple] = {}  # (stop, lam0, lam[:stop-1]) -> sweep (length, end)
-    finishes: dict[tuple, int | None] = {}  # (ell(lam), swept weight, key number) -> length
     ok = True
     longest = optimal = worst = total = 0
     for i, lam in enumerate(vertices):
         l_lam = _ell(lam, p)
-        if l_lam not in routes:
-            routes[l_lam] = [(c, k, waypoints[c], _route(l_lam, k, n)) for c, k in enumerate(keys)]
+        if l_lam not in groups:
+            group = groups[l_lam] = {}
+            for c, key in enumerate(keys):
+                group.setdefault(_route(l_lam, key, n), ([], {}))[0].append(c)
         own = kids[i]
-        alone = population[own] == 1  # then the source's own key needs no head
-        sweeps: dict[tuple, tuple] = {}
+        alone = other[i] == -1  # the source is its key's only member: no head to it
         heads: list[int | None] = [0] * len(keys)
-        for c, key, waypoint, route in routes[l_lam]:
-            if c == own and alone:
+        for route, (cs, finishes) in groups[l_lam].items():
+            if alone and cs == [own]:
                 continue
-            sweep = sweeps.get(route)
-            if sweep is None:
-                sweep = sweeps[route] = _swept(lam, p, route, walks)
-            length, swept = sweep
-            if length is None:
-                heads[c] = None
-                continue
-            at = l_lam, swept, c
-            finish = finishes.get(at, -1)  # -1: not walked yet
-            if finish == -1:
-                finish, end = _walk_length(swept, p, _after_sweep, l_lam, key)
-                if end != waypoint:
-                    finish = None
-                finishes[at] = finish
-            heads[c] = None if finish is None else length + finish
+            length, swept = _swept(lam, p, route, walks)
+            ends = [None] * len(cs) if length is None else finishes.get(swept)
+            if ends is None:
+                ends = finishes[swept] = []
+                for c in cs:
+                    finish, end = _walk_length(swept, p, _after_sweep, l_lam, keys[c])
+                    ends.append(finish if end == waypoints[c] else None)
+            for c, finish in zip(cs, ends):
+                heads[c] = None if finish is None else length + finish
         if i == 0:
             from_zero = heads
         if not certified or None in heads:
@@ -545,19 +539,18 @@ def _check_plans(g, pairs: dict, rows) -> tuple[int | None, bool, bool, dict]:
         if i not in pairs:
             continue
         js, row = pairs[i], next(rows)
+        # A certified walk reaches its target, so the distance must too.
+        if None in row:
+            ok = False
+            continue
         if type(js) is range:  # every vertex, in order
             ks, ts, selves = kids, tails, [i]
         else:
             ks, ts = map(kids.__getitem__, js), map(tails.__getitem__, js)
             selves = [k for k, j in enumerate(js) if j == i]
-        lengths = list(map(add, map(heads.__getitem__, ks), ts))
+        gaps = list(map(sub, map(add, map(heads.__getitem__, ks), ts), row))
         for k in selves:  # the plan to itself is the empty one
-            lengths[k] = 0
-        # A certified walk reaches its target, so the distance must too.
-        if None in row:
-            ok = False
-            continue
-        gaps = list(map(sub, lengths, row))
+            gaps[k] = -row[k]
         ok = ok and min(gaps) >= 0
         optimal += gaps.count(0)
         worst = max(worst, *gaps)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import pytest
@@ -456,3 +457,28 @@ class TestExtremalDistance:
             g = build_certified_graph(n, p)
             dist = bfs_distances(g, (0,) * (n - 1))
             assert dist[g.index_of(steinberg_weight(n, p))] == length_bound(n, p)
+
+
+class TestExactLaws:
+    """Two laws that fix distances on the certified graph.  The centre of
+    SL_n(p), cyclic of order gcd(n, p-1), acts on L(lam) by zeta^f(lam), so
+    every edge raises f by 1 modulo that order.  And f rises by at most 1
+    per edge, so BFS from zero reaching every mu in f(mu) - f(0) steps means
+    those are its distances."""
+
+    @pytest.mark.parametrize("n, p", [(3, 7), (4, 5), (4, 13), (6, 7), (5, 11), (2, 251)])
+    def test_central_law_on_every_edge(self, n, p):
+        g = build_certified_graph(n, p)
+        order = math.gcd(n, p - 1)
+        fs = [f_value(w) for w in g.vertices]
+        adds, clears = g.columns
+        # Column 1 holds vertex 0 itself, zero having no clearing edge.
+        edges = [*zip(fs, adds), *zip(fs[1:], clears[1:])]
+        assert len(edges) == g.edge_count
+        assert all((fs[j] - f - 1) % order == 0 for f, j in edges), (n, p)
+
+    @pytest.mark.parametrize("n, p", [(2, 1021), (4, 13), (8, 3), (6, 7)])
+    def test_distances_from_zero_are_f(self, n, p):
+        g = build_certified_graph(n, p)
+        zero = g.vertices[0]
+        assert bfs_distances(g, zero) == [f_value(w) - f_value(zero) for w in g.vertices]

@@ -1,6 +1,7 @@
 import argparse
 import json
 import random
+from collections import Counter
 from itertools import product
 from unittest import mock
 
@@ -690,3 +691,53 @@ def test_verification_matches_a_per_pair_loop(n, p):
         len(gaps), gaps.count(0), max(gaps)
     )
     assert summary["mean_gap"] == round(sum(gaps) / len(gaps), 4)
+
+
+# The certificate's walks at three instances: _swept calls, then finish walks.
+_CERTIFICATE_WORK = {(4, 5): (713, 76), (6, 3): (885, 102), (2, 31): (901, 91)}
+
+
+@pytest.mark.parametrize("n, p", list(_CERTIFICATE_WORK))
+def test_certificate_work(monkeypatch, n, p):
+    """_check_plans sweeps each source once per distinct route of the keys
+    it heads for, which leave out its own key when it is that key's only
+    member; and walks one finish per distinct (ell(lam), swept weight, key)
+    over the keys of every route a source sweeps."""
+    sweeps, finishes = [], []
+    real_swept, real_after = planner._swept, planner._after_sweep
+
+    def counting_swept(lam, p, route, walks):
+        sweeps.append((lam, route))
+        return real_swept(lam, p, route, walks)
+
+    def counting_after(b, l_lam, key):
+        finishes.append((l_lam, tuple(b.cur), key))
+        real_after(b, l_lam, key)
+
+    g = build_certified_graph(n, p)
+    monkeypatch.setattr(planner, "_swept", counting_swept)
+    monkeypatch.setattr(planner, "_after_sweep", counting_after)
+    longest, ok, exact, _ = planner._check_plans(
+        g, {0: range(len(g.vertices))}, iter([bfs_distances(g, g.vertices[0])])
+    )
+    assert (longest, ok, exact) == (length_bound(n, p), True, True)
+
+    # The same walks, counted from the routes and a sweep per (source, key).
+    keys = [planner._waypoint_key(mu, p) for mu in g.vertices]
+    members = Counter(keys)
+    routes, walks = set(), set()
+    for lam, own in zip(g.vertices, keys):
+        l_lam = planner._ell(lam, p)
+        route = {key: planner._route(l_lam, key, len(lam) + 1) for key in members}
+        needed = {r for key, r in route.items() if key != own or members[own] > 1}
+        routes |= {(lam, r) for r in needed}
+        for key in members:
+            if route[key] in needed:
+                upto, r, stop = route[key]
+                b = planner._Builder(lam, p)
+                planner._sweep(b, planner._lambda_zero(lam, upto, r, p), stop)
+                walks.add((l_lam, tuple(b.cur), key))
+    # As many calls as distinct walks, and the same ones: none repeats.
+    assert len(sweeps) == len(routes) and set(sweeps) == routes
+    assert len(finishes) == len(walks) and set(finishes) == walks
+    assert (len(sweeps), len(finishes)) == _CERTIFICATE_WORK[n, p]
